@@ -1,10 +1,8 @@
 // Streaming statistics used by the Monitor and the workload QoS trackers:
-// running mean/variance (Welford) and quantile estimation (exact reservoir
-// and the constant-space P-square estimator for long DES runs).
+// running mean/variance (Welford) and exact quantile estimation.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -75,9 +73,9 @@ class RunningStats {
 };
 
 /// Exact quantile of an ascending-sorted sample: linear interpolation
-/// between order statistics. Shared by QuantileReservoir, the arena-backed
-/// DES latency scratch, and the P2 warmup fallback so all three produce
-/// bit-identical values for the same sample.
+/// between order statistics. Shared by QuantileReservoir and the DES
+/// latency scratch so both produce bit-identical values for the same
+/// sample.
 [[nodiscard]] inline double quantile_sorted(const double* data, std::size_t n,
                                             double q) {
   GS_REQUIRE(q >= 0.0 && q <= 1.0, "quantile q must be in [0,1]");
@@ -124,112 +122,6 @@ class QuantileReservoir {
  private:
   std::vector<double> data_;
   bool sorted_ = false;
-};
-
-/// P-square single-quantile estimator (Jain & Chlamtac 1985): constant
-/// space, suitable for million-request DES runs.
-class P2Quantile {
- public:
-  explicit P2Quantile(double q) : q_(q) {
-    GS_REQUIRE(q > 0.0 && q < 1.0, "P2 quantile must be in (0,1)");
-  }
-
-  void add(double x) {
-    if (n_ < 5) {
-      initial_[n_++] = x;
-      if (n_ == 5) {
-        std::sort(initial_.begin(), initial_.end());
-        for (int i = 0; i < 5; ++i) {
-          heights_[i] = initial_[std::size_t(i)];
-          positions_[i] = i + 1;
-        }
-        desired_[0] = 1;
-        desired_[1] = 1 + 2 * q_;
-        desired_[2] = 1 + 4 * q_;
-        desired_[3] = 3 + 2 * q_;
-        desired_[4] = 5;
-      }
-      return;
-    }
-    int k;
-    if (x < heights_[0]) {
-      heights_[0] = x;
-      k = 0;
-    } else if (x >= heights_[4]) {
-      heights_[4] = x;
-      k = 3;
-    } else {
-      k = 0;
-      while (k < 3 && x >= heights_[k + 1]) ++k;
-    }
-    for (int i = k + 1; i < 5; ++i) ++positions_[i];
-    desired_[1] += q_ / 2;
-    desired_[2] += q_;
-    desired_[3] += (1 + q_) / 2;
-    desired_[4] += 1;
-    for (int i = 1; i <= 3; ++i) adjust(i);
-  }
-
-  /// Below kWarmupSamples the five markers are not initialized yet, so the
-  /// estimator falls back to the exact interpolated quantile over the
-  /// buffered warmup samples (bit-identical to QuantileReservoir on the
-  /// same data) instead of extrapolating from a nearest-rank pick.
-  static constexpr std::size_t kWarmupSamples = 5;
-
-  [[nodiscard]] double value() const {
-    if (n_ == 0) return 0.0;
-    if (n_ < kWarmupSamples) {
-      // Insertion sort over the (at most 4) warmup samples. std::sort here
-      // trips a gcc-12 -Warray-bounds false positive when inlined into
-      // large callers; for this size insertion sort is also faster.
-      const std::size_t n = std::min(n_, kWarmupSamples - 1);
-      std::array<double, 5> tmp = initial_;
-      for (std::size_t i = 1; i < n; ++i) {
-        const double x = tmp[i];
-        std::size_t j = i;
-        for (; j > 0 && tmp[j - 1] > x; --j) tmp[j] = tmp[j - 1];
-        tmp[j] = x;
-      }
-      return quantile_sorted(tmp.data(), n, q_);
-    }
-    return heights_[2];
-  }
-
-  [[nodiscard]] double q() const { return q_; }
-
-  /// Forget all samples; the estimator can be reused for a fresh stream.
-  void reset() { *this = P2Quantile(q_); }
-
- private:
-  void adjust(int i) {
-    const double d = desired_[i] - positions_[i];
-    if ((d >= 1 && positions_[i + 1] - positions_[i] > 1) ||
-        (d <= -1 && positions_[i - 1] - positions_[i] < -1)) {
-      const int sign = d >= 0 ? 1 : -1;
-      const double parabolic = heights_[i] +
-          double(sign) / (positions_[i + 1] - positions_[i - 1]) *
-              ((positions_[i] - positions_[i - 1] + sign) *
-                   (heights_[i + 1] - heights_[i]) /
-                   (positions_[i + 1] - positions_[i]) +
-               (positions_[i + 1] - positions_[i] - sign) *
-                   (heights_[i] - heights_[i - 1]) /
-                   (positions_[i] - positions_[i - 1]));
-      if (heights_[i - 1] < parabolic && parabolic < heights_[i + 1]) {
-        heights_[i] = parabolic;
-      } else {
-        heights_[i] += double(sign) * (heights_[i + sign] - heights_[i]) /
-                       (positions_[i + sign] - positions_[i]);
-      }
-      positions_[i] += sign;
-    }
-  }
-
-  double q_;
-  std::size_t n_ = 0;
-  std::array<double, 5> initial_{};
-  std::array<double, 5> heights_{};
-  std::array<double, 5> positions_{};
-  std::array<double, 5> desired_{};
 };
 
 }  // namespace gs

@@ -1,29 +1,13 @@
 #include "core/oracle.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 
 #include "common/assert.hpp"
+#include "power/battery_math.hpp"
 
 namespace gs::core {
-
-namespace {
-
-/// Peukert-corrected effective current for a power draw (mirrors
-/// power::Battery's model; duplicated here because the DP works on raw
-/// numbers, not on a stateful battery object).
-double effective_amps(double watts, const power::BatteryConfig& bc) {
-  if (watts <= 0.0) return 0.0;
-  const double i = watts / bc.nominal_voltage.value();
-  const double i_rated = bc.capacity.value() / bc.rated_hours;
-  const double corr =
-      std::max(1.0, std::pow(i / i_rated, bc.peukert_exponent - 1.0));
-  return i * corr;
-}
-
-}  // namespace
 
 OraclePlan oracle_plan(const ProfileTable& profile,
                        const std::vector<Watts>& re_supply, double lambda,
@@ -80,7 +64,9 @@ OraclePlan oracle_plan(const ProfileTable& profile,
         const double shortfall = std::max(0.0, from_green - re);
         double g_after = double(g);
         if (shortfall > 0.0) {
-          const double drain = effective_amps(shortfall, battery) * dt_h;
+          const double amps = shortfall / battery.nominal_voltage.value();
+          const double drain =
+              power::battmath::effective_current(battery, amps) * dt_h;
           if (drain > ah_left + 1e-12) continue;  // infeasible action
           g_after = (ah_left - drain) / (ah_step > 0.0 ? ah_step : 1.0);
         } else {
@@ -127,8 +113,10 @@ OraclePlan oracle_plan(const ProfileTable& profile,
     }
     const double shortfall = std::max(0.0, from_green - re);
     if (shortfall > 0.0) {
-      ah_left = std::max(0.0, ah_left -
-                                  effective_amps(shortfall, battery) * dt_h);
+      const double amps = shortfall / battery.nominal_voltage.value();
+      const double drain =
+          power::battmath::effective_current(battery, amps) * dt_h;
+      ah_left = std::max(0.0, ah_left - drain);
     } else {
       const double surplus = re - from_green;
       const double gain =

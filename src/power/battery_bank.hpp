@@ -52,7 +52,7 @@ class BatteryBank {
   }
 
   /// Fault factors apply bank-wide (the injector derates the whole green
-  /// group; see GreenCluster::apply_component_faults).
+  /// group; GreenCluster sets them from each faulted epoch's EpochFaults).
   void set_capacity_fade_all(double factor);
   void set_charge_derate_all(double factor);
 

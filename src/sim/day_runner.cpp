@@ -135,7 +135,6 @@ void DaySim::step_live(const LiveEpoch& in) {
     ef = injector_.at(t);
     ef_ptr = &ef;
     re_total = re_total * ef.solar_factor;
-    cluster_.apply_component_faults(ef);
   }
   if (in.in_burst) {
     if (!in_burst_prev_) ++out_.bursts_served;
@@ -152,7 +151,7 @@ void DaySim::step_live(const LiveEpoch& in) {
       record_cluster_epoch(*tsdb_, tsdb_rack_, t.value(), ep);
     }
   } else {
-    cluster_.idle_step(re_total, in.lambda);
+    cluster_.idle_step(re_total, in.lambda, ef_ptr);
   }
   in_burst_prev_ = in.in_burst;
   t_ += epoch_;

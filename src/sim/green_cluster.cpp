@@ -1,5 +1,5 @@
-// gs:hot-path — the per-epoch cluster kernel; no heap allocation in the
-// steady-state phase loops (soa_ arrays are sized once at construction).
+// gs:hot-path — the per-epoch cluster loop; no heap allocation in the
+// steady-state loop (soa_ arrays are sized once at construction).
 #include "sim/green_cluster.hpp"
 
 #include <algorithm>
@@ -108,7 +108,6 @@ void GreenCluster::prepare_epoch(Watts re_total,
   const auto max_idx = profile_.lattice().index_of(server::max_sprint());
   const std::size_t n = soa_.size();
   for (std::size_t i = 0; i < n; ++i) {
-    soa_.lambda[i] = lambdas[i];
     soa_.want_w[i] =
         profile_.power(profile_.level_for(lambdas[i]), max_idx).value();
   }
@@ -137,117 +136,19 @@ ClusterEpoch GreenCluster::step_hetero(
   GS_REQUIRE(lambdas.size() == std::size_t(cfg_.servers),
              "one arrival rate per green server required");
   prepare_epoch(re_total, lambdas);
-  if (epoch_faults != nullptr) {
-    apply_component_faults(*epoch_faults);
-    // Faulted epochs take the single-pass reference path: the fault
-    // branches stay out of the phased kernel, and the two paths are
-    // bit-identical anyway (tests/sim/test_green_cluster_soa.cpp).
-    return step_servers_reference(bursting, epoch_faults);
-  }
-  return step_servers_fast(bursting);
+  if (epoch_faults != nullptr) apply_component_faults(*epoch_faults);
+  return step_servers(lambdas, bursting, epoch_faults);
 }
 
 ClusterEpoch GreenCluster::step_hetero_reference(
     Watts re_total, const std::vector<double>& lambdas, bool bursting,
     const faults::EpochFaults* epoch_faults) {
-  GS_REQUIRE(re_total.value() >= 0.0, "RE supply must be non-negative");
-  GS_REQUIRE(lambdas.size() == std::size_t(cfg_.servers),
-             "one arrival rate per green server required");
-  prepare_epoch(re_total, lambdas);
-  if (epoch_faults != nullptr) apply_component_faults(*epoch_faults);
-  return step_servers_reference(bursting, epoch_faults);
+  return step_hetero(re_total, lambdas, bursting, epoch_faults);
 }
 
-// The phased SoA kernel. Bit-identity with the reference loop rests on
-// two facts about the historical per-server iteration:
-//  * the only *shared* mutable state inside the loop is the grid (drawn
-//    during settlement) — batteries and controllers are strictly
-//    per-server — so splitting the loop into phases that each run in
-//    server index order preserves every operand of every FP operation;
-//  * each ClusterEpoch accumulator is summed in ascending server order in
-//    both forms, so the FP addition order per accumulator is unchanged.
-ClusterEpoch GreenCluster::step_servers_fast(bool bursting) {
-  const std::size_t n = soa_.size();
-  ClusterEpoch out;
-  // Caller-owned result (ClusterEpoch API), sized once per epoch.
-  // gs-lint: allow(hot-path-alloc)
-  out.settings.resize(n);
-  const server::ServerSetting normal = server::normal_mode();
-  auto& bank = soa_.batteries;
-
-  // Phase 1: sustainable battery power — contiguous reads of the bank.
-  for (std::size_t i = 0; i < n; ++i) {
-    soa_.batt_w[i] = bank.max_discharge_power(i, cfg_.epoch).value();
-  }
-
-  // Phase 2: controller decisions (independent per server). Each
-  // controller forecasts its *own* share: it has been observing the
-  // policy's per-server allocation epoch after epoch, so the EWMA tracks
-  // whatever the allocation policy hands this server.
-  for (std::size_t i = 0; i < n; ++i) {
-    const double lambda = soa_.lambda[i];
-    auto& controller = *controllers_[i];
-    const Watts batt_power(soa_.batt_w[i]);
-    server::ServerSetting setting = controller.begin_epoch(lambda,
-                                                           batt_power);
-    const Watts green_avail = Watts(soa_.share_w[i]) + batt_power;
-    if (setting != normal &&
-        controller.demand(lambda, setting) > green_avail) {
-      setting = controller.replan(green_avail);
-    }
-    soa_.setting[i] = setting;
-    soa_.demand_w[i] = controller.demand(lambda, setting).value();
-  }
-
-  // Phase 3: power settlement, in server index order (the grid budget is
-  // shared, so draw order is part of the contract).
-  for (std::size_t i = 0; i < n; ++i) {
-    const Watts grid_cap =
-        soa_.setting[i] == normal ? app_.normal_full_power : Watts(0.0);
-    power::BatteryRef battery(bank, i);
-    const auto settle =
-        pss_.settle(Watts(soa_.demand_w[i]), Watts(soa_.share_w[i]), battery,
-                    grid_, cfg_.epoch, bursting, grid_cap);
-    soa_.shortfall[i] = settle.deficit() ? 1 : 0;
-    out.re_used += settle.re_used;
-    out.batt_used += settle.batt_used;
-    out.grid_used += settle.grid_used;
-  }
-
-  // Phase 4: delivered goodput and the queue-depth proxy (offered load
-  // the server could not serve this epoch).
-  for (std::size_t i = 0; i < n; ++i) {
-    const double lambda = soa_.lambda[i];
-    double goodput = perf_.goodput(soa_.setting[i], lambda);
-    if (soa_.shortfall[i] != 0) {
-      goodput = std::min(goodput, perf_.goodput(normal, lambda));
-    }
-    soa_.goodput[i] = goodput;
-    const double backlog = lambda - goodput;
-    soa_.queue_depth[i] = backlog > 0.0 ? backlog : 0.0;
-  }
-
-  // Phase 5: controller bookkeeping (independent per server).
-  for (std::size_t i = 0; i < n; ++i) {
-    const Watts green_avail = Watts(soa_.share_w[i]) + Watts(soa_.batt_w[i]);
-    controllers_[i]->end_epoch(Watts(soa_.share_w[i]), Watts(soa_.demand_w[i]),
-                               green_avail,
-                               perf_.latency(soa_.setting[i], soa_.lambda[i]));
-  }
-
-  // Phase 6: accumulate the epoch result from the arrays.
-  for (std::size_t i = 0; i < n; ++i) {
-    out.settings[i] = soa_.setting[i];
-    out.total_goodput += soa_.goodput[i];
-    out.total_demand += Watts(soa_.demand_w[i]);
-    if (soa_.setting[i] != normal) ++out.servers_sprinting;
-    soa_.crashed[i] = 0;
-  }
-  return out;
-}
-
-ClusterEpoch GreenCluster::step_servers_reference(
-    bool bursting, const faults::EpochFaults* epoch_faults) {
+ClusterEpoch GreenCluster::step_servers(
+    const std::vector<double>& lambdas, bool bursting,
+    const faults::EpochFaults* epoch_faults) {
   const std::size_t n = soa_.size();
   ClusterEpoch out;
   // Caller-owned result (ClusterEpoch API), sized once per epoch.
@@ -255,8 +156,12 @@ ClusterEpoch GreenCluster::step_servers_reference(
   out.settings.resize(n);
   const server::ServerSetting normal = server::normal_mode();
 
+  // One pass in server index order: batteries and controllers are
+  // per-server, but the grid budget is shared, so draw order is part of
+  // the contract, as is the ascending-server FP summation order of every
+  // ClusterEpoch accumulator.
   for (std::size_t i = 0; i < n; ++i) {
-    const double lambda = soa_.lambda[i];
+    const double lambda = lambdas[i];
     const Watts share(soa_.share_w[i]);
     power::BatteryRef battery(soa_.batteries, i);
     auto& controller = *controllers_[i];
@@ -270,15 +175,9 @@ ClusterEpoch GreenCluster::step_servers_reference(
       out.settings[i] = normal;
       out.re_used += settle.re_used;
       ++out.servers_crashed;
-      soa_.crashed[i] = 1;
-      soa_.setting[i] = normal;
-      soa_.goodput[i] = 0.0;
-      soa_.queue_depth[i] = lambda;
-      soa_.shortfall[i] = 1;
       soa_.prev_deficit[i] = 1;  // reboot recovers through hysteresis
       continue;
     }
-    soa_.crashed[i] = 0;
 
     power::PssFaultState pss_fault;
     if (epoch_faults != nullptr) {
@@ -292,7 +191,9 @@ ClusterEpoch GreenCluster::step_servers_reference(
         epoch_faults != nullptr && epoch_faults->battery_offline
             ? Watts(0.0)
             : battery.max_discharge_power(cfg_.epoch);
-    soa_.batt_w[i] = batt_power.value();
+    // Each controller forecasts its *own* share: it has been observing the
+    // policy's per-server allocation epoch after epoch, so the EWMA tracks
+    // whatever the allocation policy hands this server.
     server::ServerSetting setting = controller.begin_epoch(lambda,
                                                            batt_power);
     const Watts green_avail = share + batt_power;
@@ -301,8 +202,6 @@ ClusterEpoch GreenCluster::step_servers_reference(
       setting = controller.replan(green_avail);
     }
     const Watts demand = controller.demand(lambda, setting);
-    soa_.setting[i] = setting;
-    soa_.demand_w[i] = demand.value();
     const Watts grid_cap =
         setting == normal ? app_.normal_full_power : Watts(0.0);
     const auto settle = pss_.settle(demand, share, battery, grid_,
@@ -317,10 +216,6 @@ ClusterEpoch GreenCluster::step_servers_reference(
     }
     controller.end_epoch(share, demand, green_avail,
                          perf_.latency(setting, lambda));
-    soa_.shortfall[i] = settle.deficit() ? 1 : 0;
-    soa_.goodput[i] = goodput;
-    const double backlog = lambda - goodput;
-    soa_.queue_depth[i] = backlog > 0.0 ? backlog : 0.0;
     if (epoch_faults != nullptr) {
       soa_.prev_deficit[i] = settle.deficit() ? 1 : 0;
       if (controller.degraded()) ++out.servers_degraded;
@@ -337,7 +232,9 @@ ClusterEpoch GreenCluster::step_servers_reference(
   return out;
 }
 
-void GreenCluster::idle_step(Watts re_total, double background_lambda) {
+void GreenCluster::idle_step(Watts re_total, double background_lambda,
+                             const faults::EpochFaults* epoch_faults) {
+  if (epoch_faults != nullptr) apply_component_faults(*epoch_faults);
   const std::size_t n = soa_.size();
   // Forecast consistency: divide the idle supply by the same policy the
   // burst path uses (planned against maximum-sprint demand), so each

@@ -12,12 +12,11 @@
 //    instead of spreading it thin. bench/abl_re_allocation quantifies the
 //    difference.
 //
-// The epoch kernel is structure-of-arrays (sim/soa_cluster_state.hpp):
-// per-server power draws, settings, shortfall flags and the battery bank
-// live in contiguous parallel arrays, and the fault-free step runs as a
-// sequence of branch-lean phase loops over them. A single-pass reference
-// implementation of the historical loop is kept as the bit-identity
-// oracle (tests/sim/test_green_cluster_soa.cpp).
+// One epoch loop serves clean and faulted epochs: a single pass over the
+// servers in index order (the grid budget is shared, so draw order is part
+// of the contract). The allocation arrays and the battery bank live in
+// sim/soa_cluster_state.hpp; tests/sim/test_green_cluster.cpp pins the
+// loop's results against golden digests.
 #pragma once
 
 #include <cstdint>
@@ -74,39 +73,31 @@ class GreenCluster {
 
   /// Advance one epoch: per-server arrival rate `lambda`, rack-level
   /// renewable output `re_total`, `bursting` gates grid charging.
-  /// `epoch_faults` (optional) is this epoch's injected fault state; null
-  /// keeps the exact fault-free code path.
+  /// `epoch_faults` (optional) is this epoch's injected fault state; its
+  /// component factors stay applied until the next faulted call.
   ClusterEpoch step(Watts re_total, double lambda, bool bursting,
                     const faults::EpochFaults* epoch_faults = nullptr);
 
   /// Heterogeneous variant (paper Section III-B models per-server L_j and
   /// S_j): one arrival rate per green server. Waterfall allocation sizes
   /// each server's claim by its own maximal-sprint demand at its level.
-  ///
-  /// Fault-free epochs run the phased SoA kernel; faulted epochs run the
-  /// single-pass reference loop (fault branches stay out of the hot path).
   ClusterEpoch step_hetero(Watts re_total,
                            const std::vector<double>& lambdas,
                            bool bursting,
                            const faults::EpochFaults* epoch_faults = nullptr);
 
-  /// The historical single-pass epoch loop, kept verbatim as the oracle
-  /// for the SoA kernel: for any input, step_hetero and
-  /// step_hetero_reference produce bit-identical ClusterEpoch results and
-  /// leave the cluster in bit-identical state. Faulted step_hetero epochs
-  /// delegate here, so the reference is also the production fault path.
+  /// Same as step_hetero. Kept only because gs_bench/layers.cpp times it
+  /// under this name (sim.cluster_step_ref_us); drop it together with that
+  /// call.
   ClusterEpoch step_hetero_reference(
       Watts re_total, const std::vector<double>& lambdas, bool bursting,
       const faults::EpochFaults* epoch_faults = nullptr);
 
-  /// Apply component-level fault factors (battery fade / charge derate on
-  /// every green battery, grid brownout derate) for the coming epoch.
-  /// Callers pass the neutral factors to clear them on recovery.
-  void apply_component_faults(const faults::EpochFaults& epoch_faults);
-
   /// Idle epoch (no burst): servers at Normal on grid; surplus RE and the
-  /// grid recharge the batteries.
-  void idle_step(Watts re_total, double background_lambda);
+  /// grid recharge the batteries. `epoch_faults` (optional) applies the
+  /// epoch's component fault factors, as in step().
+  void idle_step(Watts re_total, double background_lambda,
+                 const faults::EpochFaults* epoch_faults = nullptr);
 
   /// Live strategy switch across every green server's controller (the
   /// daemon's `strategy <name>` command). Same-kind requests are strict
@@ -120,8 +111,6 @@ class GreenCluster {
   [[nodiscard]] double total_equivalent_cycles() const;
   [[nodiscard]] const GreenClusterConfig& config() const { return cfg_; }
   [[nodiscard]] const workload::PerfModel& perf() const { return perf_; }
-  /// Read-only view of the per-server arrays (telemetry / tests).
-  [[nodiscard]] const SoaClusterState& soa() const { return soa_; }
 
   // --- Checkpoint/restore (src/ckpt) --------------------------------------
   // The snapshot carries the dynamic state only (batteries, controllers,
@@ -135,16 +124,20 @@ class GreenCluster {
   void load_state(ckpt::StateReader& r);
 
  private:
-  /// Fill soa_.lambda / soa_.want_w and run the allocation policy into
-  /// soa_.share_w for this epoch.
+  /// Fill soa_.want_w and run the allocation policy into soa_.share_w for
+  /// this epoch.
   void prepare_epoch(Watts re_total, const std::vector<double>& lambdas);
   /// RE split for this epoch according to the policy (want_w -> share_w).
   void allocate_into(Watts re_total);
-  /// Phased branch-lean kernel (fault-free epochs only).
-  ClusterEpoch step_servers_fast(bool bursting);
-  /// Historical single-pass loop (handles faults; the oracle).
-  ClusterEpoch step_servers_reference(bool bursting,
-                                      const faults::EpochFaults* epoch_faults);
+  /// Apply component-level fault factors (battery fade / charge derate on
+  /// every green battery, grid brownout derate) for the coming epoch.
+  /// Every faulted epoch passes its factors, so a recovered component gets
+  /// the neutral factors back.
+  void apply_component_faults(const faults::EpochFaults& epoch_faults);
+  /// The per-server epoch loop, in server index order.
+  ClusterEpoch step_servers(const std::vector<double>& lambdas,
+                            bool bursting,
+                            const faults::EpochFaults* epoch_faults);
 
   GreenClusterConfig cfg_;
   workload::AppDescriptor app_;
@@ -154,8 +147,8 @@ class GreenCluster {
   power::PowerSourceSelector pss_;
   std::vector<std::unique_ptr<core::GreenSprintController>> controllers_;
   power::Grid grid_;
-  /// Structure-of-arrays per-server state: epoch scratch arrays plus the
-  /// checkpointed battery bank and prev-deficit flags.
+  /// Per-server allocation arrays plus the checkpointed battery bank and
+  /// prev-deficit flags.
   SoaClusterState soa_;
 };
 

@@ -33,7 +33,6 @@ RackEpoch RackRunner::step(Watts re_total, double lambda,
   Watts share = grid_share_per_server(cfg_.cluster);
   if (epoch_faults != nullptr) {
     share = share * epoch_faults->grid_budget_factor;
-    green_.apply_component_faults(*epoch_faults);
   }
   out.grid_setting = best_setting_under_cap(perf_, power_model_, lambda,
                                             share);

@@ -1,20 +1,15 @@
-// gs:hot-path — structure-of-arrays per-server state for the epoch kernel.
+// gs:hot-path — structure-of-arrays per-server state for the epoch loop.
 //
-// SoaClusterState packs everything GreenCluster::step_hetero touches per
-// server into contiguous parallel arrays: power draws (claim, renewable
-// share, sustainable battery power, chosen demand), the chosen setting,
-// delivered goodput, a queue-depth proxy, shortfall flags, and — through
-// the embedded BatteryBank — the per-battery charge / Peukert state. The
-// epoch kernel runs phase loops over these arrays (allocation, battery
-// headroom, controller decisions, settlement, accumulation) instead of
-// walking one heap-allocated Server/Battery object graph at a time, so
-// the compiler can vectorize across the servers of a rack.
+// SoaClusterState holds what GreenCluster keeps per server: the renewable
+// allocation arrays (each server's claim and the share the policy grants)
+// and the cross-epoch state — the previous faulted epoch's shortfall flags
+// and, through the embedded BatteryBank, the per-battery charge / Peukert
+// state.
 //
 // Lifetime rules: the arrays are sized once at cluster construction and
-// never resized; every epoch rewrites them in place, so steady-state
-// epochs perform no heap allocation. Only `prev_deficit` and the battery
-// bank carry state across epochs (both are checkpointed); everything else
-// is scratch that the next epoch fully overwrites.
+// never resized, so steady-state epochs perform no heap allocation here.
+// `want_w` and `share_w` are rewritten every epoch; `prev_deficit` and the
+// battery bank carry state across epochs (both are checkpointed).
 #pragma once
 
 #include <cstddef>
@@ -22,40 +17,21 @@
 #include <vector>
 
 #include "power/battery_bank.hpp"
-#include "server/setting.hpp"
 
 namespace gs::sim {
 
 struct SoaClusterState {
   SoaClusterState(power::BatteryConfig battery_cfg, std::size_t n)
-      : lambda(n, 0.0),
-        want_w(n, 0.0),
+      : want_w(n, 0.0),
         share_w(n, 0.0),
-        batt_w(n, 0.0),
-        demand_w(n, 0.0),
-        goodput(n, 0.0),
-        queue_depth(n, 0.0),
-        setting(n),
-        crashed(n, 0),
-        shortfall(n, 0),
         prev_deficit(n, 0),
         batteries(battery_cfg, n) {}
 
-  [[nodiscard]] std::size_t size() const { return lambda.size(); }
+  [[nodiscard]] std::size_t size() const { return want_w.size(); }
 
   // --- Epoch scratch (rewritten every step, index = server) ---------------
-  std::vector<double> lambda;    ///< Per-server arrival rate.
   std::vector<double> want_w;    ///< Allocation claim (max-sprint demand).
   std::vector<double> share_w;   ///< Renewable share granted by the policy.
-  std::vector<double> batt_w;    ///< Sustainable battery power this epoch.
-  std::vector<double> demand_w;  ///< Chosen setting's profiled demand.
-  std::vector<double> goodput;   ///< Delivered goodput.
-  /// Offered load the server could not serve within SLA this epoch
-  /// (requests/s) — the analytic path's queue-depth proxy.
-  std::vector<double> queue_depth;
-  std::vector<server::ServerSetting> setting;  ///< Chosen PMK setting.
-  std::vector<std::uint8_t> crashed;    ///< Injected outage this epoch.
-  std::vector<std::uint8_t> shortfall;  ///< Settlement reported a deficit.
 
   // --- Cross-epoch state (checkpointed) ------------------------------------
   /// Per-server shortfall flags from the previous faulted epoch (feeds the

@@ -3,8 +3,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <vector>
 
-#include "common/arena.hpp"
 #include "common/assert.hpp"
 #include "common/stats.hpp"
 
@@ -14,21 +14,14 @@ namespace {
 
 // Per-thread scratch reused across epochs: the sweep runner calls the DES
 // once per epoch per cell, and the backing stores (core heap, latency
-// samples) would otherwise be reallocated each call. Both live in a bump
-// arena; begin_epoch() rewinds the arena and rebinds the views, so once
-// the arena reaches its high-water mark the per-request loop performs
-// zero heap allocation. thread_local keeps the reuse safe under the sweep
-// pool without sharing state across cells.
+// samples) would otherwise be reallocated each call. Each epoch refills
+// them with assign() / clear(), which keep their capacity, so once both
+// reach their high-water mark the per-request loop performs zero heap
+// allocation. thread_local keeps the reuse safe under the sweep pool
+// without sharing state across cells.
 struct DesScratch {
-  Arena arena{std::size_t(1) << 12};
-  ArenaVector<double> free_at{arena};    ///< Min-heap of core free times.
-  ArenaVector<double> latencies{arena};  ///< Exact-tail latency samples.
-
-  void begin_epoch() {
-    arena.reset();
-    free_at.rebind(arena);
-    latencies.rebind(arena);
-  }
+  std::vector<double> free_at;    ///< Min-heap of core free times.
+  std::vector<double> latencies;  ///< Completion latency samples.
 };
 
 DesScratch& des_scratch() {
@@ -57,17 +50,14 @@ DesResult simulate_epoch_process(Rng& rng, const AppDescriptor& app,
   // the heap lives in reused scratch storage with std::push_heap /
   // std::pop_heap in place of a per-call std::priority_queue.
   auto& scratch = des_scratch();
-  scratch.begin_epoch();
   auto& free_at = scratch.free_at;
-  // Arena-backed: bump-allocates only until the high-water mark.
+  // Reused scratch: allocates only until the high-water mark.
   // gs-lint: allow(hot-path-alloc)
   free_at.assign(std::size_t(setting.cores), 0.0);
   const auto heap_cmp = std::greater<>{};
 
-  const bool exact_tail = options.tail_estimator == TailEstimator::Exact;
   auto& latencies = scratch.latencies;
-  P2Quantile p2(app.qos.percentile);
-  std::uint64_t n_latencies = 0;
+  latencies.clear();
 
   double busy_core_time = 0.0;
   double t = arrivals.next_gap(rng);
@@ -93,32 +83,22 @@ DesResult simulate_epoch_process(Rng& rng, const AppDescriptor& app,
       ++res.completed;
       busy_core_time += service;
       const double latency = done - t;
-      if (exact_tail) {
-        // Arena-backed sample store. gs-lint: allow(hot-path-alloc)
-        latencies.push_back(latency);
-      } else {
-        p2.add(latency);
-      }
-      ++n_latencies;
+      // Reused sample store. gs-lint: allow(hot-path-alloc)
+      latencies.push_back(latency);
       if (latency <= app.qos.limit.value()) ++res.sla_met;
     }
     t += arrivals.next_gap(rng);
   }
 
-  if (n_latencies > 0) {
-    double tail;
-    if (exact_tail) {
-      std::sort(latencies.begin(), latencies.end());
-      tail = quantile_sorted(latencies.data(), latencies.size(),
-                             app.qos.percentile);
-    } else {
-      tail = p2.value();
-    }
+  if (!latencies.empty()) {
+    std::sort(latencies.begin(), latencies.end());
+    const double tail = quantile_sorted(latencies.data(), latencies.size(),
+                                        app.qos.percentile);
     res.tail_latency = Seconds(tail);
   }
   res.goodput_rate = double(res.sla_met) / horizon;
-  // Clamp like ServerDes does: service straddling the epoch boundary can
-  // nudge the busy-time ratio past 1.
+  // Service straddling the epoch boundary can nudge the busy-time ratio
+  // past 1, so clamp it.
   res.mean_utilization = std::min(
       1.0, busy_core_time / (double(setting.cores) * horizon));
   return res;

@@ -24,21 +24,6 @@ struct DesResult {
   double mean_utilization = 0.0; ///< Busy core-time / (k * epoch).
 };
 
-/// How completion latencies are tracked for the tail-latency estimate.
-enum class TailEstimator {
-  /// Store every completion latency and take the exact order statistic.
-  /// Memory grows with the request count; the backing store is reused
-  /// across epochs, so steady-state epochs allocate nothing.
-  Exact,
-  /// Constant-space P-square estimate (common/stats.hpp). Use for
-  /// long-horizon / million-request runs where storing-and-sorting every
-  /// sample would dominate; the estimate converges to the exact quantile
-  /// but individual epochs can differ in the last few percent. Below the
-  /// estimator's 5-sample marker warmup it falls back to the exact
-  /// interpolated quantile over the buffered samples.
-  P2,
-};
-
 struct DesOptions {
   ServiceDistribution service = ServiceDistribution::Exponential;
   double lognormal_cv = 1.5;
@@ -51,9 +36,6 @@ struct DesOptions {
   /// straggling server completes requests at `service_derate` of the
   /// healthy rate for the epoch.
   double service_derate = 1.0;
-  /// Tail-latency tracking policy (Exact keeps results bit-identical to
-  /// the historical behavior).
-  TailEstimator tail_estimator = TailEstimator::Exact;
 };
 
 /// Simulate `epoch` seconds of a k-core server under Poisson(lambda)

@@ -83,60 +83,6 @@ TEST(QuantileReservoir, InterleavedAddAndQuery) {
   EXPECT_NEAR(q.quantile(1.0), 10.0, 1e-12);
 }
 
-TEST(P2Quantile, MatchesExactOnExponential) {
-  Rng rng(5);
-  P2Quantile p2(0.99);
-  QuantileReservoir exact;
-  for (int i = 0; i < 200000; ++i) {
-    const double x = rng.exponential(1.0);
-    p2.add(x);
-    exact.add(x);
-  }
-  const double truth = exact.quantile(0.99);
-  EXPECT_NEAR(p2.value(), truth, 0.15 * truth);
-}
-
-TEST(P2Quantile, SmallSampleFallsBackToSorted) {
-  P2Quantile p2(0.5);
-  p2.add(3.0);
-  p2.add(1.0);
-  p2.add(2.0);
-  EXPECT_DOUBLE_EQ(p2.value(), 2.0);
-}
-
-TEST(P2Quantile, WarmupMatchesExactEstimatorBitForBit) {
-  // Regression for the warmup fallback: below kWarmupSamples the P2
-  // estimate must equal the exact interpolated quantile over the buffered
-  // samples, not a nearest-rank pick.
-  const double samples[] = {4.0, 1.0, 9.0, 2.5};
-  for (double q : {0.5, 0.9, 0.95, 0.99}) {
-    P2Quantile p2(q);
-    QuantileReservoir exact;
-    for (std::size_t n = 0; n < std::size(samples); ++n) {
-      p2.add(samples[n]);
-      exact.add(samples[n]);
-      EXPECT_DOUBLE_EQ(p2.value(), exact.quantile(q))
-          << "q=" << q << " n=" << n + 1;
-    }
-  }
-}
-
-TEST(P2Quantile, CrossoverToMarkersAtFiveSamples) {
-  // Pins the crossover: the 5th sample initializes the markers and the
-  // estimate switches from the exact fallback to the middle marker height.
-  P2Quantile p2(0.95);
-  QuantileReservoir exact;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) {
-    p2.add(x);
-    exact.add(x);
-  }
-  EXPECT_EQ(P2Quantile::kWarmupSamples, 5u);
-  EXPECT_DOUBLE_EQ(p2.value(), exact.quantile(0.95));  // still exact at n=4
-  p2.add(5.0);
-  // Marker mode: heights_[2] is the 3rd order statistic of the first five.
-  EXPECT_DOUBLE_EQ(p2.value(), 3.0);
-}
-
 TEST(QuantileSorted, MatchesReservoirDefinition) {
   const double data[] = {1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(quantile_sorted(data, 4, 0.0), 1.0);
@@ -144,11 +90,6 @@ TEST(QuantileSorted, MatchesReservoirDefinition) {
   EXPECT_DOUBLE_EQ(quantile_sorted(data, 4, 0.5), 2.5);
   EXPECT_DOUBLE_EQ(quantile_sorted(data, 1, 0.99), 1.0);
   EXPECT_THROW((void)quantile_sorted(data, 0, 0.5), ContractError);
-}
-
-TEST(P2Quantile, InvalidQuantileThrows) {
-  EXPECT_THROW((void)(P2Quantile(0.0)), ContractError);
-  EXPECT_THROW((void)(P2Quantile(1.0)), ContractError);
 }
 
 }  // namespace

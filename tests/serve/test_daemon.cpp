@@ -10,6 +10,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -129,6 +130,21 @@ class Client {
   int fd_ = -1;
   FrameDecoder dec_;
 };
+
+/// Poll hello until the daemon reports at least `floor` committed epochs
+/// (or a minute passes) and return the last reported epoch. A test that
+/// stops mid-stream waits first: request_stop() drops the events still
+/// queued, by design, so the stop alone guarantees no progress.
+std::uint64_t wait_for_epoch(Client& c, std::uint64_t floor) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  std::uint64_t epoch = c.hello();
+  while (epoch < floor && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    epoch = c.hello();
+  }
+  return epoch;
+}
 
 /// Feed events straight from the plan (what gs_feed --gen would write).
 std::vector<FeedEvent> plan_events(const sim::DayRunConfig& cfg) {
@@ -369,6 +385,7 @@ TEST(ServeDaemon, MidStreamStopThenResumeReproducesBatch) {
     Client c(d.socket_path);
     c.hello();
     for (std::uint64_t s = 0; s < 700; ++s) c.send(format_feed(events[s]));
+    ASSERT_GE(wait_for_epoch(c, 1), 1u);
     // Stop mid-stream: events still queued are dropped, the checkpoint
     // lands wherever the epoch thread got to. The trace replays the rest.
     d.daemon.request_stop();
@@ -480,6 +497,9 @@ TEST(ServeDaemon, ResumeFallsBackToLastKnownGoodGeneration) {
     Client c(d.socket_path);
     c.hello();
     for (std::uint64_t s = 0; s < 700; ++s) c.send(format_feed(events[s]));
+    // Wait for epoch 400 so the periodic generations at 200 and 400 are
+    // written before the stop.
+    ASSERT_GE(wait_for_epoch(c, 400), 400u);
     d.daemon.request_stop();
     d.join();
     EXPECT_FALSE(d.report.completed);

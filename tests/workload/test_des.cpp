@@ -2,7 +2,6 @@
 
 #include "common/assert.hpp"
 
-#include "common/stats.hpp"
 #include "workload/des.hpp"
 #include "workload/perf_model.hpp"
 #include "workload/queueing.hpp"
@@ -50,8 +49,7 @@ TEST(Des, UtilizationMatchesOfferedLoad) {
 
 TEST(Des, UtilizationClampedUnderOverload) {
   // Deep overload: cores stay busy past the epoch boundary, but reported
-  // utilization is a fraction of the epoch and must clamp at 1.0 (matching
-  // the stateful ServerDes path).
+  // utilization is a fraction of the epoch and must clamp at 1.0.
   Rng rng(40);
   const PerfModel m(specjbb());
   const auto s = server::normal_mode();
@@ -59,53 +57,6 @@ TEST(Des, UtilizationClampedUnderOverload) {
                                 Seconds(120.0));
   EXPECT_LE(r.mean_utilization, 1.0);
   EXPECT_GT(r.mean_utilization, 0.95);
-}
-
-TEST(Des, P2TailEstimatorTracksExact) {
-  // The constant-space P-square estimator is an opt-in for very long runs;
-  // on a well-populated epoch it must land near the exact reservoir tail.
-  const auto app = specjbb();
-  const PerfModel m(app);
-  const auto s = server::max_sprint();
-  const double lambda = 0.8 * m.capacity(s);
-  Rng r1 = Rng::stream(41, {1});
-  Rng r2 = Rng::stream(41, {1});
-  DesOptions p2;
-  p2.tail_estimator = TailEstimator::P2;
-  const auto exact = simulate_epoch(r1, app, s, lambda, Seconds(1200.0));
-  const auto approx = simulate_epoch(r2, app, s, lambda, Seconds(1200.0), p2);
-  EXPECT_EQ(exact.arrivals, approx.arrivals);
-  EXPECT_EQ(exact.completed, approx.completed);
-  EXPECT_NEAR(approx.tail_latency.value(), exact.tail_latency.value(),
-              0.10 * exact.tail_latency.value());
-}
-
-TEST(Des, P2TailFallsBackToExactBelowWarmup) {
-  // Regression for the <5-sample P2 defect: a sparsely loaded epoch whose
-  // completion count never reaches the marker warmup must report exactly
-  // the same tail as the exact estimator, not a nearest-rank pick.
-  const auto app = specjbb();
-  const auto s = server::max_sprint();
-  DesOptions p2_opts;
-  p2_opts.tail_estimator = TailEstimator::P2;
-  bool covered = false;
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    Rng r1 = Rng::stream(seed, {7});
-    Rng r2 = Rng::stream(seed, {7});
-    const auto exact = simulate_epoch(r1, app, s, 0.05, Seconds(60.0));
-    const auto approx = simulate_epoch(r2, app, s, 0.05, Seconds(60.0),
-                                       p2_opts);
-    ASSERT_EQ(exact.completed, approx.completed);
-    if (exact.completed == 0) continue;
-    if (exact.completed < P2Quantile::kWarmupSamples) covered = true;
-    if (exact.completed < P2Quantile::kWarmupSamples) {
-      EXPECT_DOUBLE_EQ(approx.tail_latency.value(),
-                       exact.tail_latency.value())
-          << "seed=" << seed << " completed=" << exact.completed;
-    }
-  }
-  // The sparse load must actually exercise the sub-warmup crossover.
-  EXPECT_TRUE(covered);
 }
 
 TEST(Des, TailLatencyMatchesAnalyticModel) {

@@ -18,6 +18,13 @@ struct GridCase {
   double rho;  ///< Offered load as a fraction of raw capacity.
 };
 
+// ctest names each case after the printed parameter. gtest's default byte
+// dump would include the app_name pointer, which moves from run to run, so
+// print the fields instead.
+void PrintTo(const GridCase& c, std::ostream* os) {
+  *os << c.app_name << ',' << c.cores << ',' << c.freq_idx << ',' << c.rho;
+}
+
 AppDescriptor app_by_name(const std::string& name) {
   for (auto& a : all_apps()) {
     if (a.name == name) return a;

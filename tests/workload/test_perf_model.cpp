@@ -3,6 +3,14 @@
 #include "workload/perf_model.hpp"
 
 namespace gs::workload {
+
+// ctest names each PerfGainParam case after the printed parameter. gtest's
+// default byte dump of an AppDescriptor includes its strings' heap
+// pointers, which move from run to run, so print the name instead. It sits
+// in the type's namespace so that gtest finds it by argument lookup.
+void PrintTo(const AppDescriptor& app, std::ostream* os);
+void PrintTo(const AppDescriptor& app, std::ostream* os) { *os << app.name; }
+
 namespace {
 
 using server::ServerSetting;

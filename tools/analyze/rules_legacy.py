@@ -289,7 +289,7 @@ def _lint_file(project: Project, sf: SourceFile, report: Report) -> None:
 def _hot_path_msg() -> str:
     return (
         "heap allocation in a gs:hot-path file; keep the epoch loop "
-        "allocation-free (use the arena / pre-sized arrays) or justify "
+        "allocation-free (reuse scratch buffers / pre-size arrays) or justify "
         "with an allow() comment"
     )
 
