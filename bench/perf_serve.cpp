@@ -55,7 +55,7 @@ CodecTiming run_codec(std::uint64_t events) {
     serve::FeedEvent ev;
     ev.seq = i;
     ev.lambda = 30.0 + double(i % 997) * 0.0625;
-    ev.irradiance = double(i % 1201) * 0.75;
+    ev.irradiance = double(i % 1201) / 1200.0;  // the [0, 1] feed domain
     ev.burst = (i % 37) == 0;
     frames.push_back(serve::encode_frame(serve::format_feed(ev)));
   }

@@ -41,17 +41,14 @@ void write_snapshot_file(const std::filesystem::path& path,
   blob.append(reinterpret_cast<const char*>(&checksum), sizeof checksum);
   blob.append(payload.data(), payload.size());
 
-  // Derive the temp name from the payload checksum: concurrent writers of
-  // the *same* path carry the same bytes, so even a rare collision renames
-  // identical content into place.
-  std::ostringstream suffix;
-  suffix << ".tmp-" << std::hex << checksum;
-  const std::filesystem::path tmp = path.string() + suffix.str();
+  // The temp name is unique per process and call (<path>.tmp-p<pid>.<n>),
+  // so concurrent writers of one path never share a temp file: each
+  // rename succeeds and the last one wins.
   io::WriteOptions opts;
   opts.durability = durability;
   opts.site = kFailpointSnapshotWrite;
   try {
-    io::atomic_write_file(path, tmp, blob, opts);
+    io::atomic_write_file(path, blob, opts);
   } catch (const io::IoError& e) {
     throw SnapshotError(std::string("snapshot write to ") + path.string() +
                         " failed: " + e.what());

@@ -1,6 +1,7 @@
 #include "faults/fault_schedule.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -56,6 +57,12 @@ std::pair<int, int> duration_epochs(FaultClass c) {
     default:
       return {1, 8};
   }
+}
+
+/// An untargeted event hits every target, and an untargeted query matches
+/// every event.
+bool hits_target(const FaultEvent& ev, int target) {
+  return ev.target < 0 || target < 0 || ev.target == target;
 }
 
 FaultClass class_from_name(const std::string& name) {
@@ -125,6 +132,7 @@ FaultSchedule FaultSchedule::generate(const FaultSpec& spec, Seconds horizon,
                    [](const FaultEvent& a, const FaultEvent& b) {
                      return a.start.value() < b.start.value();
                    });
+  sched.build_index();
   return sched;
 }
 
@@ -230,37 +238,51 @@ FaultSchedule FaultSchedule::generate_correlated(const FaultSpec& spec,
                    [](const FaultEvent& a, const FaultEvent& b) {
                      return a.start.value() < b.start.value();
                    });
+  sched.build_index();
   return sched;
 }
 
 double FaultSchedule::magnitude_at(FaultClass c, Seconds t, int target) const {
   double survive = 1.0;
-  for (const auto& ev : events_) {
-    if (ev.cls != c || !ev.covers(t)) continue;
-    if (ev.target >= 0 && target >= 0 && ev.target != target) continue;
-    survive *= 1.0 - ev.magnitude;
-  }
+  for_each_covering(t, [&](const FaultEvent& ev) {
+    if (ev.cls == c && hits_target(ev, target)) survive *= 1.0 - ev.magnitude;
+  });
   return 1.0 - survive;
 }
 
 bool FaultSchedule::active(FaultClass c, Seconds t, int target) const {
-  for (const auto& ev : events_) {
-    if (ev.cls != c || !ev.covers(t)) continue;
-    if (ev.target >= 0 && target >= 0 && ev.target != target) continue;
-    return true;
-  }
-  return false;
+  bool any = false;
+  for_each_covering(t, [&](const FaultEvent& ev) {
+    any = any || (ev.cls == c && hits_target(ev, target));
+  });
+  return any;
 }
 
 bool FaultSchedule::correlated_active(FaultClass c, Seconds t,
                                       int target) const {
-  for (const auto& ev : events_) {
-    if (ev.origin == FaultOrigin::Independent) continue;
-    if (ev.cls != c || !ev.covers(t)) continue;
-    if (ev.target >= 0 && target >= 0 && ev.target != target) continue;
-    return true;
+  bool any = false;
+  for_each_covering(t, [&](const FaultEvent& ev) {
+    any = any || (ev.origin != FaultOrigin::Independent && ev.cls == c &&
+                  hits_target(ev, target));
+  });
+  return any;
+}
+
+void FaultSchedule::build_index() {
+  by_start_.clear();
+  longest_ = 0.0;
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    const FaultEvent& ev = events_[i];
+    if (!std::isfinite(ev.start.value()) || !(ev.duration.value() > 0.0)) {
+      continue;
+    }
+    by_start_.push_back(i);
+    longest_ = std::max(longest_, ev.duration.value());
   }
-  return false;
+  std::stable_sort(by_start_.begin(), by_start_.end(),
+                   [this](std::size_t a, std::size_t b) {
+                     return events_[a].start.value() < events_[b].start.value();
+                   });
 }
 
 std::string FaultSchedule::to_csv() const {
@@ -316,6 +338,7 @@ FaultSchedule FaultSchedule::from_csv(const std::string& text) {
                "fault magnitude must be in [0,1]");
     sched.events_.push_back(ev);
   }
+  sched.build_index();
   return sched;
 }
 
@@ -374,6 +397,7 @@ void FaultSchedule::load_state(ckpt::StateReader& r) {
   spec_ = spec;
   storm_ = std::move(storm);
   events_ = std::move(events);
+  build_index();
 }
 
 }  // namespace gs::faults

@@ -21,9 +21,19 @@
 //
 // Schedules serialize to CSV so a replayed incident can be attached to a
 // bug report and re-run exactly.
+//
+// Queries at time t go through a time index derived from the events (never
+// serialized): they examine only the events that start in
+// [t - 2 x longest duration, t], not the whole schedule, and visit the ones
+// covering t in events() order so every rounded product step matches a
+// front-to-back scan.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <memory_resource>
 #include <string>
 #include <vector>
 
@@ -98,6 +108,11 @@ class FaultSchedule {
   [[nodiscard]] bool correlated_active(FaultClass c, Seconds t,
                                        int target = -1) const;
 
+  /// Calls visit(ev) for every event covering t, in events() order (the
+  /// order is part of the contract: callers fold rounded products).
+  template <class Visit>
+  void for_each_covering(Seconds t, Visit&& visit) const;
+
   /// CSV round-trip for replaying a recorded incident. The trailing
   /// `origin` column is optional on input (older captures omit it).
   [[nodiscard]] std::string to_csv() const;
@@ -121,9 +136,42 @@ class FaultSchedule {
   void load_state(ckpt::StateReader& r);
 
  private:
+  /// Derives by_start_ and longest_ from events_; every assignment of
+  /// events_ ends with it.
+  void build_index();
+
   std::vector<FaultEvent> events_;
+  // Time index: positions in events_ stably sorted by start, skipping
+  // events that cover no t (non-finite start, duration not > 0), and the
+  // longest duration among them.
+  std::vector<std::size_t> by_start_;
+  double longest_ = 0.0;
   FaultSpec spec_;
   StormModel storm_;
 };
+
+template <class Visit>
+void FaultSchedule::for_each_covering(Seconds t, Visit&& visit) const {
+  const double now = t.value();
+  // Twice the longest duration: no event starting earlier can reach t, even
+  // with start + duration rounded up.
+  const double window_start = now - 2.0 * longest_;
+  auto it = std::upper_bound(
+      by_start_.begin(), by_start_.end(), now,
+      [this](double v, std::size_t i) { return v < events_[i].start.value(); });
+  // Hits live on the stack unless more than 32 events cover t at once.
+  std::array<std::size_t, 32> inline_hits;
+  std::pmr::monotonic_buffer_resource arena(inline_hits.data(),
+                                            sizeof inline_hits);
+  std::pmr::vector<std::size_t> hits(&arena);
+  hits.reserve(inline_hits.size());
+  while (it != by_start_.begin()) {
+    const std::size_t i = *--it;
+    if (!(events_[i].start.value() >= window_start)) break;
+    if (events_[i].covers(t)) hits.push_back(i);
+  }
+  std::sort(hits.begin(), hits.end());
+  for (const std::size_t i : hits) visit(events_[i]);
+}
 
 }  // namespace gs::faults

@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <vector>
 
 namespace gs::serve {
@@ -211,6 +212,17 @@ ParseOutcome parse_request(std::string_view payload) {
     const auto irr = parse_double(tok[3]);
     if (!seq || !lambda || !irr || (tok[4] != "0" && tok[4] != "1")) {
       return fail(ErrorCode::BadArgument, "unparsable feed operands");
+    }
+    // from_chars accepts nan and inf; reject values outside the epoch's
+    // domain here instead of tripping a contract on the epoch thread.
+    // The irradiance range is SolarArray::ac_output's.
+    if (!std::isfinite(*lambda) || *lambda < 0.0) {
+      return fail(ErrorCode::BadArgument,
+                  "feed lambda must be finite and >= 0");
+    }
+    if (!std::isfinite(*irr) || *irr < 0.0 || *irr > 1.0) {
+      return fail(ErrorCode::BadArgument,
+                  "feed irradiance must be finite and in [0, 1]");
     }
     req.kind = Request::Kind::Feed;
     req.feed = {*seq, *lambda, *irr, tok[4] == "1"};

@@ -36,9 +36,8 @@ void write_csv_atomic(const std::string& path,
   // atomic rename but skip the fsync discipline checkpoints pay for.
   opts.durability = io::Durability::None;
   opts.site = kFailpointCsvWrite;
-  io::atomic_write_file(std::filesystem::path(path),
-                        std::filesystem::path(path + ".tmp"),
-                        std::move(body).str(), opts);
+  io::atomic_write_file(std::filesystem::path(path), std::move(body).str(),
+                        opts);
 }
 
 const std::array<const char*, 16> kEpochCsvHeader = {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "ckpt/snapshot.hpp"
 #include "ckpt/state_io.hpp"
@@ -78,6 +81,39 @@ TEST_F(SnapshotFile, NoTempFileLeftBehind) {
     ++entries;
   }
   EXPECT_EQ(entries, 1u);
+}
+
+TEST_F(SnapshotFile, ConcurrentWritersOfOnePathAllSucceed) {
+  // Two sweep workers commit byte-identical manifests to one path. Each
+  // write needs its own temp file: writers sharing one (say, named by the
+  // payload checksum) race, and the loser's rename finds it already gone.
+  std::string payload(4096, '\0');
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = char('a' + i % 26);
+  }
+  const fs::path target = path("shared.gsck");
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  for (int k = 0; k < 4; ++k) {
+    writers.emplace_back([&] {
+      for (int i = 0; i < 500; ++i) {
+        try {
+          write_snapshot_file(target, payload, io::Durability::None);
+        } catch (const SnapshotError&) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  EXPECT_EQ(failures.load(), 0);
+  std::size_t entries = 0;
+  for (const auto& e : fs::directory_iterator(dir_)) {
+    (void)e;
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1u);
+  EXPECT_EQ(read_snapshot_file(target), payload);
 }
 
 TEST_F(SnapshotFile, MissingFileThrows) {

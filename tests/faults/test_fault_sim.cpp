@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "core/greensprint.hpp"
 #include "sim/burst_runner.hpp"
 #include "sim/day_runner.hpp"
+#include "sim/sweep.hpp"
+#include "sim/sweep_grid.hpp"
 
 namespace gs::sim {
 namespace {
@@ -167,6 +172,59 @@ TEST(FaultSim, DayRunnerSurvivesHeavyFaultsAcrossCluster) {
   EXPECT_EQ(r.mean_burst_goodput, again.mean_burst_goodput);
   EXPECT_EQ(r.crash_epochs, again.crash_epochs);
   EXPECT_EQ(r.degraded_epochs, again.degraded_epochs);
+}
+
+// Golden digests of faulted and clean runs, captured with gcc 12 -O2. They
+// pin the whole chain from the fault schedule through FaultInjector::at
+// into the runners: a change that moves any bit of a faulted run fails
+// here, not only in the fingerprint lanes outside ctest.
+
+/// The gs_bench day-campaign config: 3 days, 16 Hybrid servers on
+/// EqualShare, the default bursts stretched 6x, seeds shifted by seed - 1.
+DayRunConfig bench_day_config(std::uint64_t seed, bool faulted) {
+  DayRunConfig cfg;
+  cfg.days = 3;
+  cfg.cluster.servers = 16;
+  cfg.cluster.strategy = core::StrategyKind::Hybrid;
+  cfg.cluster.allocation = ReAllocation::EqualShare;
+  cfg.daily_bursts = default_daily_bursts();
+  for (auto& b : cfg.daily_bursts) b.duration = b.duration * 6.0;
+  cfg.solar_seed += seed - 1;
+  cfg.diurnal.seed += seed - 1;
+  if (faulted) cfg.faults = faults::FaultSpec::uniform(0.3, seed);
+  return cfg;
+}
+
+TEST(FaultSim, DayCampaignMatchesGoldenDigests) {
+  struct Golden {
+    std::uint64_t seed;
+    bool faulted;
+    std::uint64_t digest;
+  };
+  const Golden golden[] = {
+      {1, true, 0x9e98f32133676e4full},
+      {2, true, 0x03a2762f5be71358ull},
+      {1, false, 0x880c3596388c363aull},
+      {2, false, 0xa7fd7080324f6bf9ull},
+  };
+  for (const Golden& g : golden) {
+    SCOPED_TRACE("seed " + std::to_string(g.seed) +
+                 (g.faulted ? " uniform(0.3)" : " clean"));
+    EXPECT_EQ(day_result_fingerprint(run_days(bench_day_config(g.seed,
+                                                               g.faulted))),
+              g.digest);
+  }
+}
+
+TEST(FaultSim, StormSweepMatchesGoldenDigest) {
+  // perf_sweep --storm --smoke: the smoke grid under correlated storms.
+  std::vector<Scenario> grid = perf_grid(true);
+  add_storms(grid);
+  for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    EXPECT_EQ(sweep_fingerprint(run_sweep(grid, threads)),
+              0x146a06aa43d8c2adull);
+  }
 }
 
 TEST(DegradedMode, HysteresisClampsAndRecovers) {

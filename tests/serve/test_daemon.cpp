@@ -258,6 +258,50 @@ TEST(ServeDaemon, DrainFingerprintMatchesBatch) {
   EXPECT_EQ(d.report.stale_epochs, 0u);
 }
 
+TEST(ServeDaemon, OutOfDomainFeedsAreRejectedThenReplayMatchesBatch) {
+  // nan and inf parse as doubles, but no epoch can run on them (nor on a
+  // negative rate or an irradiance outside [0, 1]). Each bad feed gets
+  // err bad-argument at the wire and never reaches the epoch thread, so
+  // the plan replayed afterwards still drains to the batch fingerprint.
+  const sim::DayRunConfig day = scenario();
+  const std::uint64_t batch_fp =
+      sim::day_result_fingerprint(sim::run_days(day));
+
+  DaemonConfig cfg;
+  cfg.day = day;
+  cfg.socket_path = test_socket_path("badfeed");
+  RunningDaemon d(std::move(cfg));
+  Client c(d.socket_path);
+  ASSERT_EQ(c.hello(), 0u);
+  for (const char* bad :
+       {"feed 0 nan 0.5 1", "feed 0 inf 0.5 1", "feed 0 -1 0.5 1",
+        "feed 0 1 nan 0", "feed 0 1 inf 0", "feed 0 1 -0.25 0",
+        "feed 0 1 1.5 0"}) {
+    c.send(bad);
+    // stat is answered after the feed's own reply, so a feed that is
+    // wrongly accepted (and so silent) fails here instead of hanging.
+    c.send("stat");
+    const auto reply = c.recv();
+    ASSERT_TRUE(reply) << bad;
+    EXPECT_EQ(reply->rfind("err bad-argument", 0), 0u) << bad << ": " << *reply;
+    if (reply->rfind("ok stat ", 0) == 0) continue;
+    const auto stat = c.recv();
+    ASSERT_TRUE(stat) << bad;
+    EXPECT_EQ(stat->rfind("ok stat ", 0), 0u) << bad << ": " << *stat;
+  }
+  for (const FeedEvent& ev : plan_events(day)) c.send(format_feed(ev));
+  c.send("drain");
+  std::optional<std::string> reply;
+  while ((reply = c.recv())) {
+    if (reply->rfind("ok drain ", 0) == 0) break;
+  }
+  ASSERT_TRUE(reply) << "no drain reply";
+  EXPECT_EQ(Client::field_hex(*reply, "fp"), batch_fp);
+  d.join();
+  EXPECT_TRUE(d.report.completed);
+  EXPECT_EQ(d.report.result_fingerprint, batch_fp);
+}
+
 TEST(ServeDaemon, NoOpCommandsPreserveFingerprint) {
   const sim::DayRunConfig day = scenario();
   const std::uint64_t batch_fp =

@@ -184,6 +184,25 @@ TEST(RequestGrammar, FeedAdversarialOperands) {
             ErrorCode::BadArgument);
   EXPECT_EQ(parse_request("feed 0 l.0 2.0 1").error,
             ErrorCode::BadArgument);
+  // Parsable doubles outside the epoch's domain: lambda must be finite and
+  // >= 0, irradiance finite and in [0, 1].
+  for (const char* bad :
+       {"feed 0 nan 0.5 1", "feed 0 NaN 0.5 1", "feed 0 inf 0.5 1",
+        "feed 0 -inf 0.5 1", "feed 0 infinity 0.5 1", "feed 0 -1 0.5 1",
+        "feed 0 -4.9e-324 0.5 1", "feed 0 1.0 nan 0", "feed 0 1.0 inf 0",
+        "feed 0 1.0 -inf 0", "feed 0 1.0 -0.25 0", "feed 0 1.0 2.0 0",
+        "feed 0 1.0 1.0000000000000002 0"}) {
+    const auto out = parse_request(bad);
+    EXPECT_FALSE(out.request.has_value()) << bad;
+    EXPECT_EQ(out.error, ErrorCode::BadArgument) << bad;
+  }
+  // The domain's edges still parse, negative zero included.
+  for (const char* good : {"feed 0 0 0 0", "feed 0 -0 -0 0", "feed 0 -0.0 1 1",
+                           "feed 0 1e300 1.0 1"}) {
+    const auto out = parse_request(good);
+    ASSERT_TRUE(out.request.has_value()) << good;
+    EXPECT_EQ(out.request->kind, Request::Kind::Feed) << good;
+  }
 }
 
 TEST(RequestGrammar, CheckpointKeepsSpacesInPath) {
