@@ -43,8 +43,12 @@ fingerprint() {
   grep -o '"fingerprint": [0-9]*' "$1" | grep -o '[0-9]*$'
 }
 
+# The first poll can run before the sweep has created its checkpoint
+# directory, and find also fails when a temp file vanishes mid-walk; under
+# pipefail either would end the script with the sweep still running, so a
+# failed find counts what it saw.
 cells_persisted() {
-  find "$1" -name '*.gsck' 2>/dev/null | wc -l | tr -d ' '
+  { find "$1" -name '*.gsck' 2>/dev/null || true; } | wc -l | tr -d ' '
 }
 
 # run_lane <label> <cells> [extra perf_sweep flags...]

@@ -13,6 +13,7 @@
 // never uses the raw std types outside this header.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -88,6 +89,14 @@ class CondVar {
  public:
   /// Atomically releases `mu` and sleeps; re-acquires before returning.
   void wait(Mutex& mu) GS_REQUIRES(mu) { cv_.wait(mu); }
+  /// wait() that also returns at `deadline`: false when the deadline
+  /// passed, true when woken (by a notify, or spuriously) before it.
+  template <typename Clock, typename Duration>
+  bool wait_until(Mutex& mu,
+                  const std::chrono::time_point<Clock, Duration>& deadline)
+      GS_REQUIRES(mu) {
+    return cv_.wait_until(mu, deadline) == std::cv_status::no_timeout;
+  }
   void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }
 

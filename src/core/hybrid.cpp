@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "ckpt/state_io.hpp"
 #include "common/assert.hpp"
@@ -101,9 +102,30 @@ void QTable::set(std::size_t state, std::size_t action, double v) {
 
 void QTable::update(std::size_t state, std::size_t action, double reward,
                     std::size_t next_state, const QLearningConfig& cfg) {
-  const double old = value(state, action);
-  const double target = reward + cfg.discount * max_value(next_state);
-  set(state, action, old + cfg.learning_rate * (target - old));
+  GS_REQUIRE(state < states_ && action < actions_ && next_state < states_,
+             "QTable index range");
+  // max_a' R(c',a') in one pass over four independent std::max chains, so
+  // the compares do not serialize on one accumulator. Every chain starts
+  // at the row's first entry, which keeps max_element's NaN rule (a NaN
+  // there is the result; any later NaN is skipped). The max of a set is
+  // order-free except for which zero wins a +0/-0 tie, and that cannot
+  // change the stored value (DESIGN.md §9).
+  const double* next = &q_[next_state * actions_];
+  double m0 = next[0], m1 = next[0], m2 = next[0], m3 = next[0];
+  std::size_t a = 1;
+  for (; a + 4 <= actions_; a += 4) {
+    m0 = std::max(m0, next[a]);
+    m1 = std::max(m1, next[a + 1]);
+    m2 = std::max(m2, next[a + 2]);
+    m3 = std::max(m3, next[a + 3]);
+  }
+  for (; a < actions_; ++a) m0 = std::max(m0, next[a]);
+  const double m = std::max(std::max(m0, m1), std::max(m2, m3));
+  double& q = q_[state * actions_ + action];
+  const double old = q;
+  const double target = reward + cfg.discount * m;
+  q = old + cfg.learning_rate * (target - old);
+  pristine_ = false;
 }
 
 double QTable::max_value(std::size_t state) const {
@@ -203,16 +225,22 @@ server::ServerSetting HybridStrategy::decide(const EpochContext& ctx) {
   const std::size_t state =
       state_index(ctx.supply, ctx.predicted_load, ctx.health);
   const int level = profile_.level_for(ctx.predicted_load);
+  // Both rows are read through raw pointers: one range check each, not
+  // two per action. The const row_data keeps the table pristine (the
+  // mutable overload assumes a write).
+  const double* power = profile_.power_row(level);
+  const double* q = std::as_const(q_).row_data(state);
+  const double supply = ctx.supply.value();
+  const std::size_t actions = profile_.lattice().size();
   // Feasibility-masked argmax: the PMK cooperates with the PSS to stay
   // within the available supply.
   double best = -1e300;
   std::size_t best_action = profile_.lattice().index_of(server::normal_mode());
   bool found = false;
-  for (std::size_t a = 0; a < profile_.lattice().size(); ++a) {
-    if (profile_.power(level, a) > ctx.supply) continue;
-    const double v = q_.value(state, a);
-    if (!found || v > best) {
-      best = v;
+  for (std::size_t a = 0; a < actions; ++a) {
+    if (power[a] > supply) continue;
+    if (!found || q[a] > best) {
+      best = q[a];
       best_action = a;
       found = true;
     }

@@ -142,6 +142,11 @@ Watts ProfileTable::power(int level, std::size_t setting) const {
   return Watts(power_w_[idx(level, setting)]);
 }
 
+const double* ProfileTable::power_row(int level) const {
+  GS_REQUIRE(level >= 0 && level < num_levels_, "level out of range");
+  return &power_w_[std::size_t(level) * lattice_.size()];
+}
+
 double ProfileTable::goodput(int level, std::size_t setting) const {
   return goodput_[idx(level, setting)];
 }

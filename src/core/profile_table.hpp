@@ -54,6 +54,9 @@ class ProfileTable {
   /// LoadPower(L, S): electrical demand at level `level`, setting index
   /// `setting` (utilization-dependent).
   [[nodiscard]] Watts power(int level, std::size_t setting) const;
+  /// The level's LoadPower row: lattice().size() contiguous watts, indexed
+  /// by setting. One range check for the row instead of one per setting.
+  [[nodiscard]] const double* power_row(int level) const;
   /// SLA-goodput (req/s) at the level/setting.
   [[nodiscard]] double goodput(int level, std::size_t setting) const;
   /// Achieved tail latency at the level/setting.

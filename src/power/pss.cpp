@@ -33,6 +33,7 @@ PssSettlement settle_impl(const PssConfig& cfg, Watts demand, Watts re_supply,
                           BatteryLike& battery, Grid& grid, Seconds dt,
                           bool bursting, Watts grid_fallback_cap,
                           const PssFaultState& fault) {
+  GS_REQUIRE(dt.value() > 0.0, "dt must be positive");
   GS_REQUIRE(demand.value() >= 0.0, "demand must be non-negative");
   GS_REQUIRE(re_supply.value() >= 0.0, "RE supply must be non-negative");
   GS_REQUIRE(fault.switch_latency_fraction >= 0.0 &&
@@ -56,14 +57,17 @@ PssSettlement settle_impl(const PssConfig& cfg, Watts demand, Watts re_supply,
 
   // 2) Battery covers the shortfall (Cases 2/3), limited by what it can
   //    sustain for the whole epoch. A stuck source selector can cut the
-  //    battery path entirely.
-  Watts batt_capable =
-      fault.battery_offline ? Watts(0.0) : battery.max_discharge_power(dt);
-  if (fault.switch_latency_fraction > 0.0) {
-    batt_capable = batt_capable * (1.0 - fault.switch_latency_fraction);
+  //    battery path entirely. With no shortfall the Peukert solve is
+  //    skipped: min(0, capable) is the zero residual either way.
+  if (residual.value() > 0.0) {
+    Watts batt_capable =
+        fault.battery_offline ? Watts(0.0) : battery.max_discharge_power(dt);
+    if (fault.switch_latency_fraction > 0.0) {
+      batt_capable = batt_capable * (1.0 - fault.switch_latency_fraction);
+    }
+    s.batt_used = std::min(residual, batt_capable);
+    residual -= s.batt_used;
   }
-  s.batt_used = std::min(residual, batt_capable);
-  residual -= s.batt_used;
 
   // 3) Grid backstop for the green group (bounded; normally sized to keep
   //    the green servers at Normal mode only).

@@ -47,6 +47,14 @@ constexpr std::uint64_t kQueryMaxRows = 256;
 /// is the worst case the e2e recovery contract must absorb.
 constexpr const char* kFailpointDrainCheckpoint = "serve.drain.checkpoint";
 
+/// Longest the epoch thread parks on an empty ring; wake_epoch() ends
+/// the wait sooner. Paced, it must come back every 200 us to re-check the
+/// tick deadline and the stall grace. Unpaced, only wake_epoch() can bring
+/// it work, so the cap is a backstop; at 200 us an idle daemon would wake
+/// ~4,000 times a second for nothing.
+constexpr SteadyClock::duration kPacedWaitCap = std::chrono::microseconds(200);
+constexpr SteadyClock::duration kUnpacedWaitCap = std::chrono::milliseconds(20);
+
 }  // namespace
 
 ServeDaemon::ServeDaemon(DaemonConfig cfg)
@@ -105,7 +113,40 @@ void ServeDaemon::load_state(ckpt::StateReader& r) {
 
 void ServeDaemon::request_stop() {
   terminate_.store(true, std::memory_order_relaxed);
+  wake_epoch();
   wake_io();
+}
+
+// The wake handshake. A producer bumps work_seq_, then reads parked_; the
+// epoch thread, holding mu_, bumps parked_, reads work_seq_, then checks
+// the ring. All four operations are seq_cst on the atomics themselves, so
+// in their single total order either the epoch thread's read sees the
+// producer's bump (and with it the push made before the bump) or the
+// producer's read sees the epoch thread parked. In the second case the
+// producer notifies under mu_, which the epoch thread holds from its
+// checks until the wait releases it, so the notify cannot slip in between.
+// No standalone fence: gcc's -Wtsan flags atomic_thread_fence, which
+// -Werror turns into a failed gcc TSan build.
+
+void ServeDaemon::wake_epoch() {
+  work_seq_.fetch_add(1, std::memory_order_seq_cst);
+  if (parked_.load(std::memory_order_seq_cst) == 0) return;
+  MutexLock lock(mu_);
+  work_cv_.notify_one();
+}
+
+void ServeDaemon::wait_for_work() {
+  const SteadyClock::duration cap =
+      cfg_.sim_speed > 0.0 ? kPacedWaitCap : kUnpacedWaitCap;
+  const auto until = SteadyClock::now() + cap;
+  MutexLock lock(mu_);
+  parked_.fetch_add(1, std::memory_order_seq_cst);
+  const std::uint64_t seen = work_seq_.load(std::memory_order_seq_cst);
+  while (work_seq_.load(std::memory_order_seq_cst) == seen && queue_.empty() &&
+         commands_.empty() && !terminate_.load(std::memory_order_relaxed)) {
+    if (!work_cv_.wait_until(mu_, until)) break;
+  }
+  parked_.fetch_sub(1, std::memory_order_seq_cst);
 }
 
 void ServeDaemon::wake_io() {
@@ -399,7 +440,7 @@ void ServeDaemon::epoch_loop() {
         break;
       }
       process_commands();
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      wait_for_work();
     }
     if (!stepped) continue;
     ++report_.epochs;
@@ -615,6 +656,7 @@ void ServeDaemon::handle_payload(Conn& conn, const std::string& payload) {
         }
         std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
+      wake_epoch();
       return;
     }
     case Request::Kind::Bye:
@@ -622,8 +664,11 @@ void ServeDaemon::handle_payload(Conn& conn, const std::string& payload) {
       conn.closing = true;
       return;
     default: {
-      MutexLock lock(mu_);
-      commands_.push_back({conn.id, req});
+      {
+        MutexLock lock(mu_);
+        commands_.push_back({conn.id, req});
+      }
+      wake_epoch();
       return;
     }
   }
@@ -710,6 +755,7 @@ void ServeDaemon::io_loop(IoState& io) {
         [[maybe_unused]] const ssize_t rd =
             ::read(cfg_.stop_fd, sink, sizeof sink);
         terminate_.store(true, std::memory_order_relaxed);
+        wake_epoch();
         continue;
       }
       const auto it = io.conns.find(fd);

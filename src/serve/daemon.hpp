@@ -103,7 +103,7 @@ class ServeDaemon {
 
   /// Async stop from another thread (the in-process SIGTERM equivalent):
   /// the epoch thread writes the final checkpoint and both threads exit.
-  void request_stop();
+  void request_stop() GS_EXCLUDES(mu_);
 
   /// Telemetry surfaces (valid while and after run()).
   [[nodiscard]] const sim::Monitor& monitor() const { return monitor_; }
@@ -151,6 +151,12 @@ class ServeDaemon {
   void post_reply(std::uint64_t conn_id, std::string payload)
       GS_EXCLUDES(mu_);
   void wake_io();
+  /// Epoch thread, ring empty: park until wake_epoch() or a short cap,
+  /// whichever comes first (DESIGN.md §16 has the handshake).
+  void wait_for_work() GS_EXCLUDES(mu_);
+  /// After a feed push, a queued command or a stop: end wait_for_work()
+  /// early. Takes mu_ only when the epoch thread is parked.
+  void wake_epoch() GS_EXCLUDES(mu_);
   void drain_feed_queue();
 
   // IO-thread helpers (defined over IoState in daemon.cpp).
@@ -169,6 +175,9 @@ class ServeDaemon {
   mutable Mutex mu_;
   std::deque<Command> commands_ GS_GUARDED_BY(mu_);
   std::deque<Outgoing> outbox_ GS_GUARDED_BY(mu_);
+  CondVar work_cv_;  ///< wait_for_work() parks here, under mu_
+  std::atomic<std::uint64_t> work_seq_{0};  ///< bumped by wake_epoch()
+  std::atomic<std::uint32_t> parked_{0};    ///< epoch thread is parked
 
   std::atomic<bool> terminate_{false};  ///< stop requested (no reply)
   std::atomic<bool> draining_{false};   ///< drain accepted

@@ -31,20 +31,19 @@ std::string page_filename(SeriesId id, std::uint64_t seq) {
 
 /// Atomic-or-absent page write: the bytes land under a tmp name and are
 /// renamed into place, the same discipline ckpt snapshots use, so a kill
-/// mid-spill leaves either the complete page or no page at all.
+/// mid-spill leaves either the complete page or no page at all. The temp
+/// name is io::atomic_write_file's <path>.tmp-p<pid>.<n>, unique per
+/// process and call.
 /// Failpoint site on every COMPRESSED/CACHE spill-page commit.
 constexpr const char* kFailpointPageWrite = "tsdb.page.write";
 
 void write_page_file(const std::filesystem::path& path,
-                     const std::string& page, std::uint64_t checksum) {
-  std::ostringstream tmp_name;
-  tmp_name << path.string() << ".tmp-" << std::hex << checksum;
-  const std::filesystem::path tmp(std::move(tmp_name).str());
+                     const std::string& page) {
   io::WriteOptions opts;
   opts.durability = io::Durability::Full;
   opts.site = kFailpointPageWrite;
   try {
-    io::atomic_write_file(path, tmp, page, opts);
+    io::atomic_write_file(path, page, opts);
   } catch (const io::IoError& e) {
     throw TsdbError(std::string("page write to ") + path.string() +
                     " failed: " + e.what());
@@ -76,7 +75,7 @@ void SeriesStore::seal_spilled(const std::filesystem::path& dir) {
   if (open_.empty()) return;
   ChunkRef ref = seal_common();
   ref.file = page_filename(id_, std::uint64_t(ref.cache_key & 0xffffffffu));
-  write_page_file(dir / ref.file, encode_page(*ref.resident), ref.checksum);
+  write_page_file(dir / ref.file, encode_page(*ref.resident));
   ref.resident.reset();  // evict: the page is the copy of record now
   sealed_.push_back(std::move(ref));
 }

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+
+#include "ckpt/state_io.hpp"
 #include "common/assert.hpp"
+#include "common/rng.hpp"
 
 #include "core/hybrid.hpp"
 
@@ -322,6 +328,324 @@ TEST_F(HybridFixture, OnlineLearningAbandonsFailingAction) {
     if (current != first) break;
   }
   EXPECT_NE(current, first);
+}
+
+
+// --- Row-pointer decide / single-pass update vs the per-call originals ------
+//
+// decide() reads the level's power row and the state's Q row through raw
+// pointers, and QTable::update takes the next-state max in one pass over
+// four std::max chains. The references below are the earlier code: one
+// power(level, a) and value(s, a) call per action, and update as value +
+// max_value + set. Decisions must match exactly and updated entries bit
+// for bit.
+
+std::size_t reference_decide(const HybridStrategy& h, const ProfileTable& t,
+                             const EpochContext& ctx) {
+  const std::size_t state =
+      h.state_index(ctx.supply, ctx.predicted_load, ctx.health);
+  const int level = t.level_for(ctx.predicted_load);
+  double best = -1e300;
+  std::size_t best_action = t.lattice().index_of(server::normal_mode());
+  bool found = false;
+  for (std::size_t a = 0; a < t.lattice().size(); ++a) {
+    if (t.power(level, a) > ctx.supply) continue;
+    const double v = h.table().value(state, a);
+    if (!found || v > best) {
+      best = v;
+      best_action = a;
+      found = true;
+    }
+  }
+  return best_action;
+}
+
+void reference_update(QTable& q, std::size_t state, std::size_t action,
+                      double reward, std::size_t next_state,
+                      const QLearningConfig& cfg) {
+  const double old = q.value(state, action);
+  const double target = reward + cfg.discount * q.max_value(next_state);
+  q.set(state, action, old + cfg.learning_rate * (target - old));
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Replace a strategy's Q-table through its checkpoint path, which keeps
+/// every f64 bit pattern (-0 and NaN included).
+void install_table(HybridStrategy& h, const QTable& q) {
+  ckpt::StateWriter w;
+  w.begin_section("strategy.hybrid", Strategy::kStateVersion);
+  w.u64(q.num_states());
+  w.u64(q.num_actions());
+  for (std::size_t s = 0; s < q.num_states(); ++s) {
+    for (std::size_t a = 0; a < q.num_actions(); ++a) w.f64(q.value(s, a));
+  }
+  w.end_section();
+  ckpt::StateReader r(w.buffer());
+  h.load_state(r);
+}
+
+void expect_tables_bit_equal(const QTable& got, const QTable& want) {
+  for (std::size_t s = 0; s < want.num_states(); ++s) {
+    for (std::size_t a = 0; a < want.num_actions(); ++a) {
+      ASSERT_EQ(bits(got.value(s, a)), bits(want.value(s, a)))
+          << "state=" << s << " action=" << a;
+    }
+  }
+}
+
+struct HybridRowFixture : HybridFixture {
+  /// The decision as a lattice index, checked against the reference.
+  std::size_t decide_checked(const EpochContext& c) {
+    const std::size_t got = table.lattice().index_of(hybrid.decide(c));
+    EXPECT_EQ(got, reference_decide(hybrid, table, c))
+        << "supply=" << c.supply.value() << " load=" << c.predicted_load
+        << " health=" << c.health;
+    return got;
+  }
+  /// Fill one state's Q row, leaving the rest of the table as it is.
+  void set_row(std::size_t state, const std::vector<double>& row) {
+    QTable q = hybrid.table();
+    for (std::size_t a = 0; a < row.size(); ++a) q.set(state, a, row[a]);
+    install_table(hybrid, q);
+  }
+  [[nodiscard]] std::size_t actions() const { return table.lattice().size(); }
+};
+
+TEST_F(HybridRowFixture, DecideAndFeedbackMatchReferenceOnSeededTable) {
+  hybrid.seed_from_profile();
+  QTable ref = hybrid.table();
+  const QLearningConfig cfg;
+  Rng rng(0x5eed0021u);
+  const double lambda_max = table.lambda_max();
+  const auto random_ctx = [&] {
+    EpochContext c{rng.uniform(0.0, 1.1 * lambda_max),
+                   Watts(rng.uniform(40.0, 240.0)), Seconds(60.0)};
+    c.health = int(rng.uniform_int(3));
+    return c;
+  };
+  EpochContext c = random_ctx();
+  for (int i = 0; i < 3000; ++i) {
+    const std::size_t a = decide_checked(c);
+    EpochFeedback fb;
+    fb.context = c;
+    fb.action = table.lattice().at(a);
+    fb.power_demand = Watts(rng.uniform(60.0, 220.0));
+    fb.actual_supply = Watts(rng.uniform(0.0, 240.0));
+    fb.achieved_latency = Seconds(rng.uniform(0.0, 3.0));
+    fb.observed_load = c.predicted_load;
+    // Every fourth epoch stays in its state (next_state == state).
+    fb.next_context = i % 4 == 0 ? c : random_ctx();
+    const std::size_t s = hybrid.state_index(c.supply, c.predicted_load,
+                                             c.health);
+    const std::size_t next = hybrid.state_index(
+        fb.next_context.supply, fb.next_context.predicted_load,
+        fb.next_context.health);
+    const double reward = algorithm1_reward(
+        fb.actual_supply, fb.power_demand, app.qos.limit,
+        fb.achieved_latency, cfg.max_violation, cfg.max_qos_reward);
+    hybrid.feedback(fb);
+    reference_update(ref, s, a, reward, next, cfg);
+    ASSERT_EQ(bits(hybrid.table().value(s, a)), bits(ref.value(s, a)))
+        << "epoch " << i;
+    c = fb.next_context;
+  }
+  expect_tables_bit_equal(hybrid.table(), ref);
+}
+
+TEST_F(HybridRowFixture, TiedRowTakesTheFirstFeasibleMax) {
+  const auto c = ctx(160.0, 9);
+  const std::size_t s = hybrid.state_index(c.supply, c.predicted_load);
+  const int level = table.level_for(c.predicted_load);
+  set_row(s, std::vector<double>(actions(), 2.5));
+  std::size_t first_feasible = actions();
+  for (std::size_t a = 0; a < actions(); ++a) {
+    if (table.power(level, a) <= c.supply) {
+      first_feasible = a;
+      break;
+    }
+  }
+  ASSERT_LT(first_feasible, actions());
+  EXPECT_EQ(decide_checked(c), first_feasible);
+
+  // Two feasible maxima above the tied floor: the earlier one wins.
+  std::vector<std::size_t> feasible;
+  for (std::size_t a = 0; a < actions(); ++a) {
+    if (table.power(level, a) <= c.supply) feasible.push_back(a);
+  }
+  ASSERT_GE(feasible.size(), 3u);
+  std::vector<double> row(actions(), 1.0);
+  row[feasible[1]] = 4.0;
+  row[feasible.back()] = 4.0;
+  set_row(s, row);
+  EXPECT_EQ(decide_checked(c), feasible[1]);
+}
+
+TEST_F(HybridRowFixture, NoFeasibleActionFallsBackToNormal) {
+  hybrid.seed_from_profile();
+  for (const double supply : {0.0, 1.0, 50.0}) {
+    const auto c = ctx(supply, 12);
+    EXPECT_EQ(table.lattice().at(decide_checked(c)), server::normal_mode());
+  }
+}
+
+TEST_F(HybridRowFixture, SupplyEqualToARowEntryIsFeasible) {
+  // `power > supply` masks an action; equality keeps it.
+  const int intensity = 10;
+  const double load = perf.intensity_load(intensity);
+  const int level = table.level_for(load);
+  for (const std::size_t k :
+       {std::size_t(0), actions() / 3, actions() / 2, actions() - 1}) {
+    const Watts supply = table.power(level, k);
+    const EpochContext c{load, supply, Seconds(60.0)};
+    const std::size_t s = hybrid.state_index(c.supply, c.predicted_load);
+    std::vector<double> row(actions(), -3.0);
+    row[k] = 9.0;
+    set_row(s, row);
+    EXPECT_EQ(decide_checked(c), k) << "k=" << k;
+  }
+}
+
+TEST_F(HybridRowFixture, SignedZeroRowsMatchReference) {
+  const auto c = ctx(170.0, 8);
+  const std::size_t s = hybrid.state_index(c.supply, c.predicted_load);
+  std::vector<double> row(actions());
+  for (std::size_t a = 0; a < actions(); ++a) {
+    row[a] = a % 3 == 0 ? -0.0 : 0.0;
+  }
+  set_row(s, row);
+  decide_checked(c);
+  row.assign(actions(), -0.0);
+  row[actions() - 1] = 0.0;
+  set_row(s, row);
+  decide_checked(c);
+}
+
+TEST_F(HybridRowFixture, LastElementMaxIsFound) {
+  // Ample supply makes the whole lattice feasible.
+  const auto c = ctx(1e6, 12);
+  const std::size_t s = hybrid.state_index(c.supply, c.predicted_load);
+  std::vector<double> row(actions());
+  for (std::size_t a = 0; a < actions(); ++a) row[a] = double(a) * 0.01;
+  set_row(s, row);
+  EXPECT_EQ(decide_checked(c), actions() - 1);
+}
+
+TEST(QTableUpdate, MatchesReferenceOnHandMadeRows) {
+  const QLearningConfig cfg;
+  const std::size_t actions = 108;  // the full lattice
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::vector<double>> rows;
+  rows.emplace_back(actions, 1.25);  // all tied
+  {
+    std::vector<double> r(actions);
+    for (std::size_t a = 0; a < actions; ++a) r[a] = a % 2 ? 0.0 : -0.0;
+    rows.push_back(r);  // +0 / -0 mix, max is a zero tie
+    r.assign(actions, -0.0);
+    r[57] = 0.0;
+    rows.push_back(r);
+    r.assign(actions, 0.0);
+    r[0] = -0.0;
+    rows.push_back(r);
+  }
+  {
+    std::vector<double> r(actions);
+    for (std::size_t a = 0; a < actions; ++a) r[a] = -double(actions - a);
+    r[actions - 1] = 3.0;  // max is the last element (the chain tail)
+    rows.push_back(r);
+    for (std::size_t a = 0; a < actions; ++a) r[a] = double(a) - 200.0;
+    rows.push_back(r);  // strictly increasing
+    r.assign(actions, -inf);
+    r[5] = -1e300;
+    rows.push_back(r);
+  }
+  {
+    std::vector<double> r(actions, 2.0);
+    r[0] = nan;  // a leading NaN is the max in both versions
+    rows.push_back(r);
+    r.assign(actions, 2.0);
+    r[1] = nan;  // later NaNs are skipped in both
+    r[40] = nan;
+    r[actions - 1] = nan;
+    r[77] = 6.5;
+    rows.push_back(r);
+  }
+  Rng rng(0x0d5eed21u);
+  for (int i = 0; i < 16; ++i) {
+    std::vector<double> r(actions);
+    for (double& v : r) v = rng.uniform(-5.0, 5.0);
+    rows.push_back(r);
+  }
+  // Rewards as algorithm1_reward produces them: <= -1, > 2, and the
+  // QoS-violation branch's x + 1.0, which can land on +0.
+  const std::vector<double> rewards{-1.5, -1.0, 0.0, 0.75, 3.25};
+  const std::size_t states = 3;
+  for (std::size_t ri = 0; ri < rows.size(); ++ri) {
+    for (const double reward : rewards) {
+      for (const std::size_t action : {std::size_t(0), std::size_t(57),
+                                       actions - 1}) {
+        for (const std::size_t next : {std::size_t(0), std::size_t(1)}) {
+          // state 0 is updated; next_state 0 is the state itself.
+          QTable got(states, actions);
+          for (std::size_t s = 0; s < states; ++s) {
+            const auto& row = rows[(ri + s) % rows.size()];
+            for (std::size_t a = 0; a < actions; ++a) got.set(s, a, row[a]);
+          }
+          QTable want = got;
+          got.update(0, action, reward, next, cfg);
+          reference_update(want, 0, action, reward, next, cfg);
+          ASSERT_EQ(bits(got.value(0, action)), bits(want.value(0, action)))
+              << "row=" << ri << " reward=" << reward
+              << " action=" << action << " next=" << next;
+          expect_tables_bit_equal(got, want);
+        }
+      }
+    }
+  }
+}
+
+TEST(QTableUpdate, ShortRowsMatchReference) {
+  // Row widths below, at and around one four-chain block.
+  const QLearningConfig cfg;
+  Rng rng(0xb10c4u);
+  for (std::size_t actions = 1; actions <= 11; ++actions) {
+    for (int trial = 0; trial < 20; ++trial) {
+      QTable got(2, actions);
+      for (std::size_t s = 0; s < 2; ++s) {
+        for (std::size_t a = 0; a < actions; ++a) {
+          got.set(s, a, rng.uniform(-4.0, 4.0));
+        }
+      }
+      QTable want = got;
+      const auto action = std::size_t(rng.uniform_int(actions));
+      const auto next = std::size_t(rng.uniform_int(2));
+      const double reward = rng.uniform(-3.0, 4.0);
+      got.update(0, action, reward, next, cfg);
+      reference_update(want, 0, action, reward, next, cfg);
+      ASSERT_EQ(bits(got.value(0, action)), bits(want.value(0, action)))
+          << "actions=" << actions << " trial=" << trial;
+    }
+  }
+}
+
+TEST(QTableUpdate, RangeContractCoversAllThreeIndices) {
+  QTable q(2, 3);
+  const QLearningConfig cfg;
+  EXPECT_THROW(q.update(2, 0, 1.0, 0, cfg), gs::ContractError);
+  EXPECT_THROW(q.update(0, 3, 1.0, 0, cfg), gs::ContractError);
+  EXPECT_THROW(q.update(0, 0, 1.0, 2, cfg), gs::ContractError);
+  EXPECT_TRUE(q.pristine());
+  q.update(1, 2, 1.0, 0, cfg);
+  EXPECT_FALSE(q.pristine());
+}
+
+TEST_F(HybridFixture, DecideLeavesAFreshTablePristine) {
+  // decide() reads through the const row accessor; the mutable one would
+  // mark the table written and send seed_from_profile down the in-place
+  // path.
+  (void)hybrid.decide(ctx(150.0));
+  EXPECT_TRUE(hybrid.table().pristine());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/assert.hpp"
+#include "power/battery_bank.hpp"
 #include "power/pss.hpp"
 
 namespace gs::power {
@@ -147,6 +148,25 @@ TEST_F(PssFixture, OverBudgetDrawContractViolationsThrow) {
   EXPECT_THROW(pss.settle(Watts(10.0), Watts(10.0), battery, grid, epoch,
                           /*bursting=*/true, Watts(0.0), fault),
                gs::ContractError);
+}
+
+TEST_F(PssFixture, ZeroDemandSettleStillRejectsNonPositiveDt) {
+  // A zero-demand epoch never reaches the battery's Peukert solve, so
+  // settle() must check dt itself, for both battery representations.
+  BatteryBank bank(bc(), 2);
+  for (const Seconds dt : {Seconds(0.0), Seconds(-60.0)}) {
+    EXPECT_THROW(pss.settle(Watts(0.0), Watts(0.0), battery, grid, dt,
+                            /*bursting=*/true),
+                 gs::ContractError);
+    EXPECT_THROW(pss.settle(Watts(0.0), Watts(50.0), BatteryRef(bank, 1),
+                            grid, dt, /*bursting=*/false),
+                 gs::ContractError);
+  }
+  // Renewables covering the whole demand take the same skip.
+  const auto s = pss.settle(Watts(40.0), Watts(100.0), BatteryRef(bank, 0),
+                            grid, epoch, /*bursting=*/true);
+  EXPECT_EQ(s.power_case, PowerCase::RenewableOnly);
+  EXPECT_EQ(s.batt_used.value(), 0.0);
 }
 
 TEST_F(PssFixture, GridDrawContractViolationsThrow) {

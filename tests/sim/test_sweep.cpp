@@ -5,6 +5,7 @@
 #include "core/hybrid.hpp"
 #include "core/profile_table.hpp"
 #include "sim/sweep.hpp"
+#include "sim/sweep_grid.hpp"
 #include "trace/solar.hpp"
 
 namespace gs::sim {
@@ -77,6 +78,19 @@ TEST(Sweep, BitIdenticalAcrossThreadCounts) {
   const auto fp1 = sweep_fingerprint(run_sweep(scenarios, 1));
   const auto fp4 = sweep_fingerprint(run_sweep(scenarios, 4));
   EXPECT_EQ(fp1, fp4);
+}
+
+TEST(Sweep, CleanSweepMatchesGoldenDigest) {
+  // perf_sweep's full grid with no faults: 144 BurstSim cells (3 apps x 3
+  // availabilities x 4 strategies x 2 durations x 2 seeds) through Hybrid,
+  // the scalar Battery and the PSS.
+  const std::vector<Scenario> grid = perf_grid(false);
+  ASSERT_EQ(grid.size(), 144u);
+  for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    EXPECT_EQ(sweep_fingerprint(run_sweep(grid, threads)),
+              0xcc9c9041d033048cull);
+  }
 }
 
 TEST(Sweep, BitIdenticalWarmAndColdCaches) {
