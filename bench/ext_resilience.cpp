@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
                "degraded-mode clamp trades peak QoS for invariant safety "
                "(DoD cap and power balance hold at every intensity).\n";
 
-  // Availability summary (MTTR/MTBF from the Monitor's per-class incident
+  // Availability summary (MTTR/MTBF from BurstResult's per-class incident
   // and downtime telemetry) at the highest fault intensity, Hybrid
   // strategy, representative fault seed.
   const std::size_t hybrid_idx = strategies.size() - 1;

@@ -1,13 +1,11 @@
-// save/load helpers for the gs common primitives (Rng, Ewma, RunningStats,
-// RingBuffer). gs_common stays ckpt-free: the primitives expose raw-state
-// accessors and this header, owned by gs_ckpt, does the encoding.
+// save/load helpers for the gs common primitives (Rng, Ewma). gs_common
+// stays ckpt-free: the primitives expose raw-state accessors and this
+// header, owned by gs_ckpt, does the encoding.
 #pragma once
 
 #include "ckpt/state_io.hpp"
 #include "common/ewma.hpp"
-#include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 
 namespace gs::ckpt {
 
@@ -30,56 +28,6 @@ inline void load_ewma(StateReader& r, Ewma& e) {
   const double value = r.f64();
   const bool primed = r.boolean();
   e.restore(value, primed);
-}
-
-inline void save_running_stats(StateWriter& w, const RunningStats& s) {
-  w.u64(s.count());
-  w.f64(s.raw_mean());
-  w.f64(s.raw_m2());
-  w.f64(s.raw_min());
-  w.f64(s.raw_max());
-}
-
-inline void load_running_stats(StateReader& r, RunningStats& s) {
-  const auto n = std::size_t(r.u64());
-  const double mean = r.f64();
-  const double m2 = r.f64();
-  const double mn = r.f64();
-  const double mx = r.f64();
-  s.restore(n, mean, m2, mn, mx);
-}
-
-/// Rebuilds the logical contents (oldest to newest); the head offset inside
-/// the backing store is not observable through the RingBuffer interface.
-template <typename T, typename SaveItem>
-void save_ring_buffer(StateWriter& w, const RingBuffer<T>& rb,
-                      SaveItem&& save_item) {
-  w.u64(rb.capacity());
-  w.u64(rb.size());
-  for (std::size_t i = 0; i < rb.size(); ++i) save_item(w, rb[i]);
-}
-
-template <typename T, typename LoadItem>
-void load_ring_buffer(StateReader& r, RingBuffer<T>& rb,
-                      LoadItem&& load_item) {
-  const auto capacity = std::size_t(r.u64());
-  const auto n = std::size_t(r.u64());
-  if (capacity != rb.capacity()) {
-    throw SnapshotError("ring buffer capacity mismatch: snapshot has " +
-                        std::to_string(capacity) + ", component has " +
-                        std::to_string(rb.capacity()));
-  }
-  if (n > capacity) {
-    throw SnapshotError("ring buffer overfull in snapshot: " +
-                        std::to_string(n) + " items, capacity " +
-                        std::to_string(capacity));
-  }
-  rb.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    T item{};
-    load_item(r, item);
-    rb.push(item);
-  }
 }
 
 }  // namespace gs::ckpt

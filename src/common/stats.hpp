@@ -1,5 +1,6 @@
-// Streaming statistics used by the Monitor and the workload QoS trackers:
-// running mean/variance (Welford) and exact quantile estimation.
+// Streaming statistics used by the burst runner's aggregates and the
+// workload QoS trackers: running mean/variance (Welford) and exact quantile
+// estimation.
 #pragma once
 
 #include <algorithm>
@@ -33,21 +34,6 @@ class RunningStats {
   [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const { return mean_ * double(n_); }
-
-  /// Raw Welford accumulators, for checkpoint/restore (mean()/min()/max()
-  /// mask the n == 0 sentinels, so round-tripping needs the raw fields).
-  [[nodiscard]] double raw_mean() const { return mean_; }
-  [[nodiscard]] double raw_m2() const { return m2_; }
-  [[nodiscard]] double raw_min() const { return min_; }
-  [[nodiscard]] double raw_max() const { return max_; }
-
-  void restore(std::size_t n, double mean, double m2, double mn, double mx) {
-    n_ = n;
-    mean_ = mean;
-    m2_ = m2;
-    min_ = mn;
-    max_ = mx;
-  }
 
   void merge(const RunningStats& o) {
     if (o.n_ == 0) return;

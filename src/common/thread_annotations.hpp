@@ -9,7 +9,7 @@
 //
 // libstdc++'s std::mutex / std::lock_guard carry no annotations, which
 // blinds the analysis; gs::Mutex / gs::MutexLock wrap them with the
-// attributes clang needs. gs-lint (tools/gs_lint.py) enforces that src/
+// attributes clang needs. gs_analyze (tools/gs_analyze) enforces that src/
 // never uses the raw std types outside this header.
 #pragma once
 
@@ -46,7 +46,7 @@
 /// Function returns a reference to the named capability.
 #define GS_RETURN_CAPABILITY(x) GS_THREAD_ANNOTATION__(lock_returned(x))
 /// Escape hatch: suppress the analysis for one function (justify in a
-/// comment; gs-lint does not exempt suppressed code from its own rules).
+/// comment; gs_analyze does not exempt suppressed code from its own rules).
 #define GS_NO_THREAD_SAFETY_ANALYSIS \
   GS_THREAD_ANNOTATION__(no_thread_safety_analysis)
 

@@ -104,7 +104,7 @@ class FaultSchedule {
   [[nodiscard]] bool active(FaultClass c, Seconds t, int target = -1) const;
 
   /// active() restricted to correlated events (origin Storm or Cascade),
-  /// for the Monitor's correlated-burst telemetry.
+  /// for BurstResult's correlated-burst telemetry.
   [[nodiscard]] bool correlated_active(FaultClass c, Seconds t,
                                        int target = -1) const;
 

@@ -63,7 +63,6 @@ ServeDaemon::ServeDaemon(DaemonConfig cfg)
       sim_(cfg_.day),
       queue_(cfg_.queue_capacity) {
   GS_REQUIRE(!cfg_.socket_path.empty(), "daemon needs a unix socket path");
-  monitor_.set_epoch(sim_.epoch());
   if (!cfg_.resume_from.empty()) {
     // StateReader views its argument; keep the payload alive beside it.
     const std::string payload = load_resume_payload(cfg_.resume_from);
@@ -434,7 +433,6 @@ void ServeDaemon::epoch_loop() {
       if (paced && SteadyClock::now() >= deadline + grace) {
         const double t_s = sim_.now().value();
         sim_.step_live(feed_.fallback());
-        monitor_.record_feed_stale_epoch();
         engine_->append(stale_series_, t_s, 1.0);
         stepped = true;
         break;

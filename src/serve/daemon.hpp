@@ -36,7 +36,6 @@
 #include "serve/protocol.hpp"
 #include "serve/spsc_queue.hpp"
 #include "sim/day_runner.hpp"
-#include "sim/monitor.hpp"
 #include "tsdb/engine.hpp"
 
 namespace gs::serve {
@@ -105,8 +104,7 @@ class ServeDaemon {
   /// the epoch thread writes the final checkpoint and both threads exit.
   void request_stop() GS_EXCLUDES(mu_);
 
-  /// Telemetry surfaces (valid while and after run()).
-  [[nodiscard]] const sim::Monitor& monitor() const { return monitor_; }
+  /// Telemetry surface (valid while and after run()).
   [[nodiscard]] tsdb::Engine& engine() { return *engine_; }
 
   // --- Checkpoint/restore (src/ckpt): the container snapshot nests the
@@ -168,7 +166,6 @@ class ServeDaemon {
   std::unique_ptr<tsdb::Engine> engine_;
   sim::DaySim sim_;
   LiveFeed feed_;
-  sim::Monitor monitor_;
   SpscQueue<QueuedFeed> queue_;
   tsdb::SeriesId stale_series_ = 0;
 

@@ -13,9 +13,9 @@
 // ticking from the EWMA workload predictor (paper Equation 1, alpha 0.3
 // over the admitted lambdas) and the last seen irradiance, with the burst
 // flag off — the conservative no-sprint assumption. Fallback epochs are
-// counted, surfaced as the `feed_stale` health flag through Monitor/tsdb,
-// and consume their epoch slot: a late event for a fallback-covered epoch
-// is Stale, keeping feed and sim in lockstep.
+// counted (stale_epochs()), surfaced as the `feed_stale` health flag and
+// tsdb series, and consume their epoch slot: a late event for a
+// fallback-covered epoch is Stale, keeping feed and sim in lockstep.
 #pragma once
 
 #include <cstdint>

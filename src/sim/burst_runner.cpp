@@ -7,6 +7,7 @@
 #include "ckpt/common_state.hpp"
 #include "ckpt/state_io.hpp"
 #include "common/assert.hpp"
+#include "common/stats.hpp"
 #include "workload/des.hpp"
 
 namespace gs::sim {
@@ -74,6 +75,11 @@ Watts BurstSim::re_share(Seconds t) const {
   return array_.ac_output(solar_->at(t)) / double(sc_.green.green_servers);
 }
 
+void BurstSim::record(const EpochRecord& rec) {
+  if (tsdb_) tsdb_.record(rec);
+  result_.epochs.push_back(rec);
+}
+
 BurstSim::BurstSim(const Scenario& scenario)
     // Trace, window and profile all come from process-wide memo caches:
     // every sweep cell sharing a (seed, app) substrate reuses one immutable
@@ -105,7 +111,6 @@ BurstSim::BurstSim(const Scenario& scenario)
                 sc_.epoch, /*servers=*/1),
       last_sensed_load_(lambda_background_),
       pcm_(make_pcm(sc_)) {
-  monitor_.set_epoch(sc_.epoch);
   result_.window_start = start_;
   result_.epochs.reserve(n_epochs_);
 
@@ -137,24 +142,23 @@ void BurstSim::step() {
     grid_.set_budget_derate(ef.grid_budget_factor);
     const bool corr_on = injector_.schedule().correlation().enabled();
     for (faults::FaultClass cls : faults::all_fault_classes()) {
+      const auto c = std::size_t(cls);
       const bool active = injector_.schedule().active(cls, rel_t);
       if (active) {
-        monitor_.record_fault(cls);
+        result_.fault_class_downtime[c] += sc_.epoch;
         // Rising edge = one incident of this class (MTTR/MTBF telemetry).
-        if (!prev_fault_active_[std::size_t(cls)]) {
-          monitor_.record_fault_incident(cls);
-        }
+        if (!prev_fault_active_[c]) ++result_.fault_incidents[c];
       }
-      prev_fault_active_[std::size_t(cls)] = active;
+      prev_fault_active_[c] = active;
       // Same edge detector restricted to Storm/Cascade-origin activity,
       // feeding the correlated-burst telemetry.
       if (corr_on) {
         const bool corr_active =
             injector_.schedule().correlated_active(cls, rel_t);
-        if (corr_active && !prev_corr_active_[std::size_t(cls)]) {
-          monitor_.record_correlated_burst(cls);
+        if (corr_active && !prev_corr_active_[c]) {
+          ++result_.correlated_bursts[c];
         }
-        prev_corr_active_[std::size_t(cls)] = corr_active;
+        prev_corr_active_[c] = corr_active;
       }
     }
   }
@@ -170,27 +174,18 @@ void BurstSim::step() {
     const auto settle =
         pss_.settle(Watts(0.0), re_obs, batt(), grid_, sc_.epoch,
                     /*bursting=*/true, Watts(0.0));
-    monitor_.record_crash_epoch();
-    monitor_.record_health_epoch(int(controller_.health()));
-    MonitorSample sample;
-    sample.time = t;
-    sample.setting = normal_;
-    sample.power_case = settle.power_case;
-    sample.offered_load = lambda_burst;
-    sample.battery_soc = battery_ ? battery_->state_of_charge() : 0.0;
-    sample.faulted = true;
-    sample.crashed = true;
-    monitor_.record(sample);
+    ++result_.crash_epochs;
+    ++result_.health_state_epochs[std::size_t(controller_.health())];
     EpochRecord rec;
     rec.time = t;
     rec.setting = normal_;
     rec.power_case = settle.power_case;
     rec.offered_load = lambda_burst;
     rec.re_available = re_obs;
-    rec.battery_soc = sample.battery_soc;
+    rec.battery_soc = battery_ ? battery_->state_of_charge() : 0.0;
     rec.faulted = true;
     rec.crashed = true;
-    result_.epochs.push_back(rec);
+    record(rec);
     prev_disturbance_ = true;
     ++epoch_;
     return;
@@ -207,7 +202,7 @@ void BurstSim::step() {
   double sensed_load = lambda_burst;
   if (injector_.enabled()) {
     controller_.notify_health(prev_disturbance_, ef.sensor_dropout);
-    monitor_.record_health_epoch(int(controller_.health()));
+    ++result_.health_state_epochs[std::size_t(controller_.health())];
     sensed_load = ef.sensor_dropout
                       ? last_sensed_load_
                       : lambda_burst * ef.sensor_load_factor;
@@ -304,26 +299,8 @@ void BurstSim::step() {
   controller_.end_epoch(re_obs, demand, green_avail, latency);
 
   const bool is_degraded = injector_.enabled() && controller_.degraded();
-  if (is_degraded) monitor_.record_degraded_epoch();
+  if (is_degraded) ++result_.degraded_epochs;
   prev_disturbance_ = settle.deficit();
-
-  // Telemetry.
-  MonitorSample sample;
-  sample.time = t;
-  sample.setting = setting;
-  sample.power_case = settle.power_case;
-  sample.offered_load = lambda_burst;
-  sample.goodput = goodput;
-  sample.latency = latency;
-  sample.demand = demand;
-  sample.re_used = settle.re_used;
-  sample.batt_used = settle.batt_used;
-  sample.grid_used = settle.grid_used;
-  sample.battery_soc = battery_ ? battery_->state_of_charge() : 0.0;
-  sample.downgraded = downgraded;
-  sample.faulted = injector_.enabled() && ef.any();
-  sample.degraded = is_degraded;
-  monitor_.record(sample);
 
   EpochRecord rec;
   rec.time = t;
@@ -337,17 +314,29 @@ void BurstSim::step() {
   rec.batt_used = settle.batt_used;
   rec.grid_used = settle.grid_used;
   rec.re_available = re_obs;
-  rec.battery_soc = sample.battery_soc;
+  rec.battery_soc = battery_ ? battery_->state_of_charge() : 0.0;
   rec.downgraded = downgraded;
   rec.faulted = injector_.enabled() && ef.any();
   rec.degraded = is_degraded;
-  result_.epochs.push_back(rec);
+  record(rec);
   ++epoch_;
 }
 
 BurstResult BurstSim::finish() {
   GS_REQUIRE(done(), "finish() before the burst completed");
-  result_.mean_goodput = monitor_.goodput_stats().mean();
+  // One in-order pass: Welford's mean and the running energy sums, each
+  // added epoch by epoch as the records were produced.
+  RunningStats goodput;
+  Joules re{0.0};
+  Joules batt{0.0};
+  Joules grid{0.0};
+  for (const EpochRecord& e : result_.epochs) {
+    goodput.add(e.goodput);
+    re += e.re_used * sc_.epoch;
+    batt += e.batt_used * sc_.epoch;
+    grid += e.grid_used * sc_.epoch;
+  }
+  result_.mean_goodput = goodput.mean();
   const double lambda_burst = lambda_peak_;  // DES baseline: plateau only
   if (sc_.use_des) {
     // Normalize DES runs by a DES-measured Normal baseline so both sides
@@ -374,26 +363,16 @@ BurstResult BurstSim::finish() {
   result_.normalized_perf = result_.normal_goodput > 0.0
                                 ? result_.mean_goodput / result_.normal_goodput
                                 : 0.0;
-  result_.re_energy_used = monitor_.re_energy();
-  result_.batt_energy_used = monitor_.batt_energy();
-  result_.grid_energy_used = monitor_.grid_energy();
+  result_.re_energy_used = re;
+  result_.batt_energy_used = batt;
+  result_.grid_energy_used = grid;
   if (battery_) {
     result_.final_battery_dod = battery_->depth_of_discharge();
     result_.battery_cycles = battery_->equivalent_cycles();
   }
-  result_.degraded_epochs = monitor_.degraded_epochs();
-  result_.crash_epochs = monitor_.crash_epochs();
-  result_.fault_downtime = monitor_.total_fault_downtime();
-  for (faults::FaultClass cls : faults::all_fault_classes()) {
-    result_.fault_incidents[std::size_t(cls)] = monitor_.fault_incidents(cls);
-    result_.fault_class_downtime[std::size_t(cls)] =
-        monitor_.fault_downtime(cls);
-    result_.correlated_bursts[std::size_t(cls)] =
-        monitor_.correlated_bursts(cls);
-  }
-  for (std::size_t h = 0; h < Monitor::kNumHealthStates; ++h) {
-    result_.health_state_epochs[h] = monitor_.health_epochs(int(h));
-  }
+  Seconds downtime{0.0};
+  for (const Seconds& s : result_.fault_class_downtime) downtime += s;
+  result_.fault_downtime = downtime;
   return std::move(result_);
 }
 
@@ -411,7 +390,6 @@ void BurstSim::save_state(ckpt::StateWriter& w) const {
   grid_.save_state(w);
   pss_.save_state(w);
   controller_.save_state(w);
-  monitor_.save_state(w);
   pcm_.save_state(w);
   injector_.save_state(w);
   for (const bool a : prev_fault_active_) w.boolean(a);
@@ -448,7 +426,6 @@ void BurstSim::load_state(ckpt::StateReader& r) {
   grid_.load_state(r);
   pss_.load_state(r);
   controller_.load_state(r);
-  monitor_.load_state(r);
   pcm_.load_state(r);
   injector_.load_state(r);
   for (bool& a : prev_fault_active_) a = r.boolean();

@@ -1,6 +1,8 @@
 // The epoch-loop simulator that executes one burst scenario end to end:
 // Monitor -> Predictor -> PSS case selection -> PMK strategy -> power
-// settlement (battery / grid mutation) -> workload evaluation. It follows
+// settlement (battery / grid mutation) -> workload evaluation. The paper's
+// Monitor role is the EpochRecord stream: one record per epoch, appended
+// to the result and forwarded to an attached telemetry sink. It follows
 // the paper's prototype methodology (Section IV):
 //
 //  * the burst saturates the cluster; the analysis focuses on the
@@ -34,8 +36,8 @@
 #include "power/pss.hpp"
 #include "power/solar_array.hpp"
 #include "server/power_model.hpp"
-#include "sim/monitor.hpp"
 #include "sim/scenario.hpp"
+#include "sim/tsdb_sink.hpp"
 #include "thermal/pcm.hpp"
 #include "trace/solar.hpp"
 #include "workload/perf_model.hpp"
@@ -99,7 +101,7 @@ struct BurstResult {
 ///   BurstResult r = sim.finish();
 ///
 /// save_state() captures every mutable field (battery, grid, controller,
-/// monitor, DES RNG, PCM, fault edges, epochs recorded so far); a fresh
+/// DES RNG, PCM, fault edges, the result recorded so far); a fresh
 /// BurstSim over the same Scenario + load_state() continues bit-identically,
 /// which is the kill-at-any-epoch resume guarantee the ckpt subsystem and
 /// the resume-integrity CI lane enforce. The snapshot embeds
@@ -121,20 +123,23 @@ class BurstSim {
   /// the checkpoint state: re-attach after a load_state() restore.
   void attach_tsdb(tsdb::Engine* engine, std::uint32_t rack = 0,
                    std::uint32_t server = 0) {
-    monitor_.set_tsdb_sink(TsdbSink(engine, rack, server));
+    tsdb_ = TsdbSink(engine, rack, server);
   }
 
   /// Aggregate the burst statistics. Requires done().
   [[nodiscard]] BurstResult finish();
 
   // --- Checkpoint/restore (src/ckpt). v2 adds the correlated-burst edge
-  // detector state.
-  static constexpr std::uint32_t kStateVersion = 2;
+  // detector state; v3 drops the nested monitor section, whose counters
+  // now accumulate in the in-progress result.
+  static constexpr std::uint32_t kStateVersion = 3;
   void save_state(ckpt::StateWriter& w) const;
   void load_state(ckpt::StateReader& r);
 
  private:
   [[nodiscard]] Watts re_share(Seconds t) const;
+  /// Append the epoch's record to the result and the attached sink.
+  void record(const EpochRecord& rec);
   [[nodiscard]] power::Battery& batt() {
     return battery_ ? *battery_ : dummy_battery_;
   }
@@ -162,7 +167,7 @@ class BurstSim {
   std::size_t n_epochs_ = 0;
   std::size_t epoch_ = 0;
 
-  Monitor monitor_;
+  TsdbSink tsdb_;
   Rng des_rng_;
   faults::FaultInjector injector_;
   bool prev_disturbance_ = false;
@@ -175,6 +180,8 @@ class BurstSim {
   std::array<bool, faults::kNumFaultClasses> prev_fault_active_{};
   /// Same, restricted to correlated (Storm/Cascade-origin) activity.
   std::array<bool, faults::kNumFaultClasses> prev_corr_active_{};
+  /// The result so far: the epoch records plus the fault and health
+  /// counters, which step() bumps as it goes. finish() derives the rest.
   BurstResult result_;
 };
 

@@ -28,7 +28,6 @@
 #include "faults/fault_injector.hpp"
 #include "power/grid.hpp"
 #include "power/pss.hpp"
-#include "sim/monitor.hpp"
 #include "sim/soa_cluster_state.hpp"
 
 namespace gs::sim {

@@ -1,8 +1,8 @@
 #include "sim/tsdb_sink.hpp"
 
 #include "common/assert.hpp"
+#include "sim/burst_runner.hpp"
 #include "sim/green_cluster.hpp"
-#include "sim/monitor.hpp"
 #include "tsdb/engine.hpp"
 
 namespace gs::sim {
@@ -14,23 +14,23 @@ const std::array<const char*, kNumTsdbEpochMetrics> kTsdbEpochMetrics = {
     "faulted",   "crashed",      "degraded",
 };
 
-double tsdb_epoch_metric_value(const MonitorSample& s, std::size_t metric) {
+double tsdb_epoch_metric_value(const EpochRecord& rec, std::size_t metric) {
   switch (metric) {
-    case 0: return double(s.setting.cores);
-    case 1: return s.setting.frequency().value();
-    case 2: return double(std::uint8_t(s.power_case));
-    case 3: return s.demand.value();
-    case 4: return s.re_used.value();
-    case 5: return s.batt_used.value();
-    case 6: return s.grid_used.value();
-    case 7: return s.battery_soc;
-    case 8: return s.offered_load;
-    case 9: return s.goodput;
-    case 10: return s.latency.value();
-    case 11: return s.downgraded ? 1.0 : 0.0;
-    case 12: return s.faulted ? 1.0 : 0.0;
-    case 13: return s.crashed ? 1.0 : 0.0;
-    case 14: return s.degraded ? 1.0 : 0.0;
+    case 0: return double(rec.setting.cores);
+    case 1: return rec.setting.frequency().value();
+    case 2: return double(std::uint8_t(rec.power_case));
+    case 3: return rec.demand.value();
+    case 4: return rec.re_used.value();
+    case 5: return rec.batt_used.value();
+    case 6: return rec.grid_used.value();
+    case 7: return rec.battery_soc;
+    case 8: return rec.offered_load;
+    case 9: return rec.goodput;
+    case 10: return rec.latency.value();
+    case 11: return rec.downgraded ? 1.0 : 0.0;
+    case 12: return rec.faulted ? 1.0 : 0.0;
+    case 13: return rec.crashed ? 1.0 : 0.0;
+    case 14: return rec.degraded ? 1.0 : 0.0;
     default: break;
   }
   GS_REQUIRE(false, "tsdb epoch metric index out of range");
@@ -46,11 +46,11 @@ TsdbSink::TsdbSink(tsdb::Engine* engine, std::uint32_t rack,
   }
 }
 
-void TsdbSink::record(const MonitorSample& s) const {
+void TsdbSink::record(const EpochRecord& rec) const {
   GS_REQUIRE(engine_ != nullptr, "record() on a disabled tsdb sink");
-  const tsdb::Timestamp t = tsdb::to_timestamp(s.time);
+  const tsdb::Timestamp t = tsdb::to_timestamp(rec.time);
   for (std::size_t m = 0; m < kNumTsdbEpochMetrics; ++m) {
-    engine_->append_at(ids_[m], t, tsdb_epoch_metric_value(s, m));
+    engine_->append_at(ids_[m], t, tsdb_epoch_metric_value(rec, m));
   }
 }
 

@@ -1,6 +1,6 @@
-// Bridge from the Monitor's epoch telemetry into the embedded time-series
+// Bridge from BurstSim's epoch telemetry into the embedded time-series
 // engine (src/tsdb). A sink binds one (rack, server) coordinate of one
-// Engine and fans each MonitorSample out into the fifteen per-epoch metric
+// Engine and fans each EpochRecord out into the fifteen per-epoch metric
 // series listed in kTsdbEpochMetrics — the exact column set (and order) of
 // export_epochs_csv, so a CSV exported back out of the engine reproduces
 // the legacy export byte for byte. Sample values are stored losslessly
@@ -17,7 +17,7 @@
 
 namespace gs::sim {
 
-struct MonitorSample;
+struct EpochRecord;
 struct ClusterEpoch;
 
 inline constexpr std::size_t kNumTsdbEpochMetrics = 15;
@@ -26,11 +26,11 @@ inline constexpr std::size_t kNumTsdbEpochMetrics = 15;
 /// t_s time axis, which becomes the engine's timestamp).
 extern const std::array<const char*, kNumTsdbEpochMetrics> kTsdbEpochMetrics;
 
-/// Value of one metric column for a sample (index into kTsdbEpochMetrics).
-[[nodiscard]] double tsdb_epoch_metric_value(const MonitorSample& s,
+/// Value of one metric column for a record (index into kTsdbEpochMetrics).
+[[nodiscard]] double tsdb_epoch_metric_value(const EpochRecord& rec,
                                              std::size_t metric);
 
-/// Copyable handle the Monitor forwards samples through. A
+/// Copyable handle BurstSim forwards its epoch records through. A
 /// default-constructed sink is disabled (records nothing).
 class TsdbSink {
  public:
@@ -44,8 +44,8 @@ class TsdbSink {
   [[nodiscard]] std::uint32_t rack() const { return rack_; }
   [[nodiscard]] std::uint32_t server() const { return server_; }
 
-  /// Append the sample's metrics at its (absolute) epoch time.
-  void record(const MonitorSample& s) const;
+  /// Append the record's metrics at its (absolute) epoch time.
+  void record(const EpochRecord& rec) const;
 
  private:
   tsdb::Engine* engine_ = nullptr;

@@ -9,7 +9,6 @@
 #include "power/battery.hpp"
 #include "power/grid.hpp"
 #include "power/pss.hpp"
-#include "sim/monitor.hpp"
 #include "thermal/pcm.hpp"
 
 namespace gs {
@@ -93,60 +92,6 @@ TEST(ComponentState, PcmRoundTripKeepsStoredHeat) {
             original.time_to_saturation(Watts(160.0)).value());
 }
 
-TEST(ComponentState, MonitorRoundTripKeepsAggregatesAndTelemetry) {
-  sim::Monitor original(8);
-  original.set_epoch(Seconds(30.0));
-  for (int i = 0; i < 12; ++i) {  // overfills the 8-deep history
-    sim::MonitorSample s;
-    s.time = Seconds(30.0 * i);
-    s.goodput = 100.0 + i;
-    s.latency = Seconds(0.05 + 0.001 * i);
-    s.demand = Watts(90.0 + i);
-    s.re_used = Watts(40.0);
-    s.batt_used = Watts(10.0);
-    s.grid_used = Watts(40.0 + i);
-    original.record(s);
-  }
-  original.record_fault(faults::FaultClass::CloudTransient);
-  original.record_fault_incident(faults::FaultClass::CloudTransient);
-  original.record_fault(faults::FaultClass::BatteryFade);
-  original.record_degraded_epoch();
-  original.record_crash_epoch();
-
-  ckpt::StateWriter w;
-  original.save_state(w);
-  sim::Monitor restored(8);
-  ckpt::StateReader r(w.buffer());
-  restored.load_state(r);
-
-  EXPECT_EQ(restored.epochs(), original.epochs());
-  EXPECT_EQ(restored.goodput_stats().mean(), original.goodput_stats().mean());
-  EXPECT_EQ(restored.latency_stats().max(), original.latency_stats().max());
-  EXPECT_EQ(restored.demand_stats().variance(),
-            original.demand_stats().variance());
-  EXPECT_EQ(restored.re_energy().value(), original.re_energy().value());
-  EXPECT_EQ(restored.grid_energy().value(), original.grid_energy().value());
-  EXPECT_EQ(restored.sprint_time().value(), original.sprint_time().value());
-  EXPECT_EQ(restored.epoch().value(), original.epoch().value());
-  EXPECT_EQ(restored.fault_downtime(faults::FaultClass::CloudTransient).value(),
-            original.fault_downtime(faults::FaultClass::CloudTransient).value());
-  EXPECT_EQ(restored.fault_incidents(faults::FaultClass::CloudTransient),
-            original.fault_incidents(faults::FaultClass::CloudTransient));
-  EXPECT_EQ(restored.total_fault_incidents(),
-            original.total_fault_incidents());
-  EXPECT_EQ(restored.degraded_epochs(), original.degraded_epochs());
-  EXPECT_EQ(restored.crash_epochs(), original.crash_epochs());
-
-  const auto ha = original.history();
-  const auto hb = restored.history();
-  ASSERT_EQ(hb.size(), ha.size());
-  for (std::size_t i = 0; i < ha.size(); ++i) {
-    EXPECT_EQ(hb[i].time.value(), ha[i].time.value());
-    EXPECT_EQ(hb[i].goodput, ha[i].goodput);
-    EXPECT_EQ(hb[i].grid_used.value(), ha[i].grid_used.value());
-  }
-}
-
 TEST(ComponentState, FaultInjectorRoundTripReplaysIdentically) {
   const auto spec = faults::FaultSpec::uniform(0.4, 7);
   const faults::FaultInjector original(spec, Seconds(1800.0), Seconds(60.0),
@@ -181,9 +126,9 @@ TEST(ComponentState, WrongComponentSnapshotThrows) {
   ckpt::StateWriter w;
   battery.save_state(w);
 
-  sim::Monitor monitor;
+  thermal::PcmBuffer pcm{thermal::PcmConfig{}};
   ckpt::StateReader r(w.buffer());
-  EXPECT_THROW(monitor.load_state(r), ckpt::SnapshotError);
+  EXPECT_THROW(pcm.load_state(r), ckpt::SnapshotError);
 }
 
 TEST(ComponentState, NewerSchemaVersionThrows) {

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <string>
 #include <vector>
+#include <unistd.h>
 
 #include "ckpt/rotation.hpp"
 #include "ckpt/snapshot.hpp"
@@ -85,8 +86,8 @@ TEST(Resume, BurstSimResumesWithFaultsAndDes) {
   sc.use_des = true;
   sc.faults = faults::FaultSpec::uniform(0.4, 11);
   const auto ref_fp = result_fingerprint(run_whole(sc));
-  // Mid-run kill exercises the DES RNG, fault edge state, and monitor
-  // incident counters across the snapshot boundary.
+  // Mid-run kill exercises the DES RNG, fault edge state, and the
+  // in-progress result's incident counters across the snapshot boundary.
   EXPECT_EQ(result_fingerprint(run_interrupted(sc, 7)), ref_fp);
 }
 
@@ -113,6 +114,17 @@ TEST(Resume, BurstSimResumesThroughAnActiveStormWindow) {
     const auto resumed = run_interrupted(sc, k);
     EXPECT_EQ(result_fingerprint(resumed), ref_fp)
         << "diverged when killed after epoch " << k;
+    // Counters outside the fingerprint cross the snapshot inside the
+    // in-progress burst_result.
+    EXPECT_EQ(resumed.fault_incidents, reference.fault_incidents) << k;
+    EXPECT_EQ(resumed.correlated_bursts, reference.correlated_bursts) << k;
+    EXPECT_EQ(resumed.health_state_epochs, reference.health_state_epochs)
+        << k;
+    for (std::size_t c = 0; c < reference.fault_class_downtime.size(); ++c) {
+      EXPECT_EQ(resumed.fault_class_downtime[c].value(),
+                reference.fault_class_downtime[c].value())
+          << "class " << c << ", killed after epoch " << k;
+    }
   }
 }
 
@@ -207,11 +219,8 @@ class CheckpointedSweep : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = fs::temp_directory_path() /
-           ("gs_resume_test_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
+           ("gs_resume_test_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <unistd.h>
 
 #include "ckpt/rotation.hpp"
 #include "ckpt/snapshot.hpp"
@@ -29,10 +30,8 @@ class Rotation : public ::testing::Test {
   void SetUp() override {
     failpoint::reset();
     dir_ = fs::path(::testing::TempDir()) /
-           ("gs_rot_" +
-            std::string(
-                ::testing::UnitTest::GetInstance()->current_test_info()
-                    ->name()));
+           ("gs_rot_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     base_ = dir_ / "gsd.gsck";

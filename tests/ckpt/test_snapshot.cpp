@@ -6,6 +6,7 @@
 #include <string>
 #include <thread>
 #include <vector>
+#include <unistd.h>
 
 #include "ckpt/snapshot.hpp"
 #include "ckpt/state_io.hpp"
@@ -19,11 +20,8 @@ class SnapshotFile : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = fs::temp_directory_path() /
-           ("gs_ckpt_test_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name());
+           ("gs_ckpt_test_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::create_directories(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -7,7 +7,6 @@
 
 #include "ckpt/common_state.hpp"
 #include "ckpt/state_io.hpp"
-#include "common/ring_buffer.hpp"
 
 namespace gs::ckpt {
 namespace {
@@ -173,58 +172,6 @@ TEST(StateIo, EwmaUnprimedRoundTrip) {
   StateReader r(w.buffer());
   load_ewma(r, restored);
   EXPECT_FALSE(restored.primed());
-}
-
-TEST(StateIo, RunningStatsRoundTrip) {
-  RunningStats s;
-  for (double x : {1.0, -3.5, 2.25, 100.0}) s.add(x);
-
-  StateWriter w;
-  save_running_stats(w, s);
-  RunningStats restored;
-  StateReader r(w.buffer());
-  load_running_stats(r, restored);
-
-  EXPECT_EQ(restored.count(), s.count());
-  EXPECT_EQ(restored.mean(), s.mean());
-  EXPECT_EQ(restored.variance(), s.variance());
-  EXPECT_EQ(restored.min(), s.min());
-  EXPECT_EQ(restored.max(), s.max());
-  // Bit-exact continuation: the next add must agree exactly.
-  restored.add(7.0);
-  s.add(7.0);
-  EXPECT_EQ(restored.mean(), s.mean());
-  EXPECT_EQ(restored.variance(), s.variance());
-}
-
-TEST(StateIo, RingBufferRoundTripPreservesOrderAndWrap) {
-  RingBuffer<double> rb(4);
-  for (double x : {1.0, 2.0, 3.0, 4.0, 5.0, 6.0}) rb.push(x);  // wrapped
-
-  StateWriter w;
-  save_ring_buffer(w, rb, [](StateWriter& sw, double v) { sw.f64(v); });
-  RingBuffer<double> restored(4);
-  StateReader r(w.buffer());
-  load_ring_buffer(r, restored,
-                   [](StateReader& sr, double& v) { v = sr.f64(); });
-
-  ASSERT_EQ(restored.size(), rb.size());
-  for (std::size_t i = 0; i < rb.size(); ++i) {
-    EXPECT_EQ(restored[i], rb[i]);
-  }
-}
-
-TEST(StateIo, RingBufferCapacityMismatchThrows) {
-  RingBuffer<double> rb(4);
-  rb.push(1.0);
-  StateWriter w;
-  save_ring_buffer(w, rb, [](StateWriter& sw, double v) { sw.f64(v); });
-
-  RingBuffer<double> other(8);
-  StateReader r(w.buffer());
-  EXPECT_THROW(load_ring_buffer(
-                   r, other, [](StateReader& sr, double& v) { v = sr.f64(); }),
-               SnapshotError);
 }
 
 }  // namespace

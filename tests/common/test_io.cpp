@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <unistd.h>
 
 #include "common/failpoint.hpp"
 #include "common/io.hpp"
@@ -23,10 +24,8 @@ class Io : public ::testing::Test {
   void SetUp() override {
     failpoint::reset();
     dir_ = fs::path(::testing::TempDir()) /
-           ("gs_io_" +
-            std::string(
-                ::testing::UnitTest::GetInstance()->current_test_info()
-                    ->name()));
+           ("gs_io_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

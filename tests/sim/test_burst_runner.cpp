@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/assert.hpp"
+#include "common/stats.hpp"
 
 #include "sim/burst_runner.hpp"
+#include "sim/sweep_grid.hpp"
 
 namespace gs::sim {
 namespace {
@@ -108,6 +112,62 @@ TEST(BurstRunner, EnergyAccountingIsConsistent) {
   EXPECT_NEAR(r.re_energy_used.value(), re, 1e-6);
   EXPECT_NEAR(r.batt_energy_used.value(), batt, 1e-6);
   EXPECT_NEAR(r.grid_energy_used.value(), grid, 1e-6);
+}
+
+/// Each energy must equal the in-order sum of power x epoch length over
+/// the records, bit for bit (the order finish() adds them in).
+void expect_energies_fold_the_records(const Scenario& sc,
+                                      const BurstResult& r) {
+  Joules re{0.0};
+  Joules batt{0.0};
+  Joules grid{0.0};
+  for (const auto& e : r.epochs) {
+    re += e.re_used * sc.epoch;
+    batt += e.batt_used * sc.epoch;
+    grid += e.grid_used * sc.epoch;
+  }
+  EXPECT_EQ(r.re_energy_used.value(), re.value());
+  EXPECT_EQ(r.batt_energy_used.value(), batt.value());
+  EXPECT_EQ(r.grid_energy_used.value(), grid.value());
+}
+
+// BurstSim bumps its counters epoch by epoch and folds the energies and
+// mean goodput over its records in finish(); each aggregate must equal the
+// same fold over the records it returns.
+TEST(BurstRunner, AggregatesFoldTheEpochRecordsOfAStormCell) {
+  std::vector<Scenario> cells(1, base_scenario());
+  cells[0].strategy = core::StrategyKind::Hybrid;
+  cells[0].availability = trace::Availability::Med;
+  cells[0].burst_duration = Seconds(1800.0);
+  cells[0].seed = 8;  // crashes, degraded epochs and all three health states
+  add_storms(cells);  // uniform 0.3 faults, storms, health-aware Hybrid
+  Scenario sc = cells[0];
+  const auto r = run_burst(sc);
+
+  RunningStats goodput;
+  std::size_t crashed = 0;
+  std::size_t degraded = 0;
+  for (const auto& e : r.epochs) {
+    goodput.add(e.goodput);
+    crashed += e.crashed ? 1 : 0;
+    degraded += e.degraded ? 1 : 0;
+  }
+  ASSERT_GT(crashed, 0u);
+  ASSERT_GT(degraded, 0u);
+  EXPECT_EQ(r.mean_goodput, goodput.mean());
+  EXPECT_EQ(r.crash_epochs, crashed);
+  EXPECT_EQ(r.degraded_epochs, degraded);
+  Seconds downtime{0.0};
+  for (const Seconds& s : r.fault_class_downtime) downtime += s;
+  EXPECT_GT(downtime.value(), 0.0);
+  EXPECT_EQ(r.fault_downtime.value(), downtime.value());
+  std::size_t health = 0;
+  for (const std::size_t n : r.health_state_epochs) health += n;
+  EXPECT_EQ(health, r.epochs.size());
+  expect_energies_fold_the_records(sc, r);
+
+  sc.epoch = Seconds(30.0);  // energy scales with the epoch length
+  expect_energies_fold_the_records(sc, run_burst(sc));
 }
 
 TEST(BurstRunner, DesModeShowsTheSameSprintBenefit) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <unistd.h>
 
 #include "common/assert.hpp"
 #include "common/io.hpp"
@@ -60,13 +62,15 @@ TEST(Export, SummaryRowRoundTrips) {
 
 TEST(Export, FileExport) {
   const auto r = run_burst(small_scenario());
-  const std::string path = ::testing::TempDir() + "/gs_epochs.csv";
+  const std::string path = ::testing::TempDir() + "/gs_epochs_" +
+                           std::to_string(::getpid()) + ".csv";
   export_epochs_csv_file(path, r);
   std::ifstream in(path);
   EXPECT_TRUE(in.good());
   std::string header;
   std::getline(in, header);
   EXPECT_EQ(header.rfind("t_s,", 0), 0u);
+  std::remove(path.c_str());
 }
 
 TEST(Export, BadPathThrows) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
+#include <unistd.h>
 
 #include "common/assert.hpp"
 #include "trace/csv_io.hpp"
@@ -93,10 +95,12 @@ TEST(CsvIo, FileRoundTrip) {
   SolarTraceConfig cfg;
   cfg.days = 1;
   const auto original = generate_solar_trace(cfg);
-  const std::string path = ::testing::TempDir() + "/gs_trace.csv";
+  const std::string path = ::testing::TempDir() + "/gs_trace_" +
+                           std::to_string(::getpid()) + ".csv";
   save_solar_csv_file(path, original);
   const auto loaded = load_solar_csv_file(path);
   EXPECT_EQ(loaded.samples().size(), original.samples().size());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -31,7 +31,9 @@ TEST(BitStream, RoundTripsMixedWidths) {
   w.bit(true);
   w.bits(0, 7);
   w.bits(0x3ff, 10);
-  BitReader r(w.bytes());
+  // BitReader is a view: the bytes must outlive it.
+  const std::string bytes = w.bytes();
+  BitReader r(bytes);
   EXPECT_EQ(r.bits(3), 0b101u);
   EXPECT_EQ(r.bits(64), 0xdeadbeefcafef00dull);
   EXPECT_TRUE(r.bit());
@@ -42,7 +44,8 @@ TEST(BitStream, RoundTripsMixedWidths) {
 TEST(BitStream, ReaderThrowsPastTheEnd) {
   BitWriter w;
   w.bits(0xff, 8);
-  BitReader r(w.bytes());
+  const std::string bytes = w.bytes();
+  BitReader r(bytes);
   EXPECT_EQ(r.bits(8), 0xffu);
   EXPECT_THROW((void)r.bits(1), TsdbError);
 }

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <string>
 #include <vector>
+#include <unistd.h>
 
 #include "common/thread_pool.hpp"
 #include "tsdb/engine.hpp"
@@ -16,8 +17,18 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// An empty directory under a per-process root, so concurrent runs of one
+/// build never share a path; the root is removed when the binary exits.
 fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
+  static const struct Root {
+    fs::path path = fs::path(::testing::TempDir()) /
+                    ("gs_tsdb_" + std::to_string(::getpid()));
+    ~Root() {
+      std::error_code ec;
+      fs::remove_all(path, ec);
+    }
+  } root;
+  const fs::path dir = root.path / name;
   fs::remove_all(dir);
   return dir;
 }

@@ -1,14 +1,15 @@
 // Integration of the telemetry engine with the simulators: the TsdbSink
-// fan-out from the Monitor, cluster-aggregate recording from the day/rack
-// runners, sweep-wide shared-engine ingest, and the headline guarantee —
-// a CSV exported back out of the engine is byte-identical to the legacy
-// export, including across an engine kill-and-resume.
+// fan-out of BurstSim's epoch records, cluster-aggregate recording from
+// the day/rack runners, sweep-wide shared-engine ingest, and the headline
+// guarantee — a CSV exported back out of the engine is byte-identical to
+// the legacy export, including across an engine kill-and-resume.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <unistd.h>
 
 #include "ckpt/state_io.hpp"
 #include "sim/day_runner.hpp"
@@ -23,8 +24,18 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// An empty directory under a per-process root, so concurrent runs of one
+/// build never share a path; the root is removed when the binary exits.
 fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / name;
+  static const struct Root {
+    fs::path path = fs::path(::testing::TempDir()) /
+                    ("gs_tsdb_" + std::to_string(::getpid()));
+    ~Root() {
+      std::error_code ec;
+      fs::remove_all(path, ec);
+    }
+  } root;
+  const fs::path dir = root.path / name;
   fs::remove_all(dir);
   return dir;
 }

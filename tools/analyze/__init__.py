@@ -16,7 +16,7 @@ run:
   rng-stream-ownership  each named gs::Rng stream tag is drawn by exactly
                         one file.
 
-Entry points: tools/gs_analyze (CLI) and tools/gs_lint.py (legacy shim).
+Entry point: tools/gs_analyze (CLI).
 """
 
 __all__ = [

@@ -1,4 +1,4 @@
-"""Command line for gs_analyze (and the gs_lint compatibility shim).
+"""Command line for gs_analyze.
 
   tools/gs_analyze [PATH ...]            analyze src/ (or the given paths)
   tools/gs_analyze --json out.json       also write machine-readable output
@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import engine, rules_legacy
+from . import engine
 
 _RULE_SUMMARIES = {
     "raw-thread": "std::thread/async only in common/thread_pool",
@@ -72,15 +72,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--root", metavar="PATH",
                     help="repository root (default: the tools/ parent)")
     ap.add_argument("--list-rules", action="store_true")
-    ap.add_argument("--legacy-only", action="store_true",
-                    help="run only the ten legacy gs-lint rules (the "
-                    "gs_lint.py compatibility surface)")
     args = ap.parse_args(argv)
 
     if args.list_rules:
-        rules = rules_legacy.LEGACY_RULES if args.legacy_only else \
-            engine.ALL_RULES
-        for rule in rules:
+        for rule in engine.ALL_RULES:
             print(f"{rule}: {_RULE_SUMMARIES.get(rule, '')}")
         return 0
 
@@ -103,8 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"gs-analyze: wrote {target}")
         return 0
 
-    report, _ = engine.analyze(root, paths, lock_path,
-                               legacy_only=args.legacy_only)
+    report, _ = engine.analyze(root, paths, lock_path)
     if args.json:
         payload = report.render_json()
         if args.json == "-":
@@ -112,7 +106,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             Path(args.json).write_text(payload + "\n", encoding="utf-8")
 
-    name = "gs-lint" if args.legacy_only else "gs-analyze"
     # With JSON on stdout, the human rendering moves to stderr so the
     # stream stays parseable.
     human = sys.stderr if args.json == "-" else sys.stdout
@@ -120,9 +113,9 @@ def main(argv: list[str] | None = None) -> int:
     if text:
         print(text, file=human)
     if report.findings:
-        print(f"{name}: {len(report.findings)} finding(s)",
+        print(f"gs-analyze: {len(report.findings)} finding(s)",
               file=sys.stderr)
         return 1
-    print(f"{name}: clean ({report.files_analyzed} files, "
+    print(f"gs-analyze: clean ({report.files_analyzed} files, "
           f"{len(report.rules_run)} rules)", file=human)
     return 0

@@ -62,8 +62,7 @@ def load_files(root: Path, paths: list[str] | None = None
 
 
 def analyze(root: Path, paths: list[str] | None = None,
-            lock_path: Path | None = None, legacy_only: bool = False
-            ) -> tuple[Report, str]:
+            lock_path: Path | None = None) -> tuple[Report, str]:
     """Run the pass stack. Returns (report, current lock text) — the lock
     text is what --write-lock would write, rendered whether or not the
     comparison passed."""
@@ -71,36 +70,31 @@ def analyze(root: Path, paths: list[str] | None = None,
     project = build(files)
     report = Report()
     report.files_analyzed = len(files)
-    report.rules_run = list(
-        rules_legacy.LEGACY_RULES if legacy_only else ALL_RULES
-    )
+    report.rules_run = list(ALL_RULES)
 
     rules_legacy.run(project, report)
 
-    lock_text = ""
-    if not legacy_only:
-        entries, extract_report = ckpt_schema.extract(project)
-        report.findings.extend(extract_report.findings)
-        ckpt_schema.check_consistency(entries, report)
-        lock_text = ckpt_schema.render_lock(entries)
+    entries, extract_report = ckpt_schema.extract(project)
+    report.findings.extend(extract_report.findings)
+    ckpt_schema.check_consistency(entries, report)
+    lock_text = ckpt_schema.render_lock(entries)
 
-        lock_file = lock_path if lock_path is not None else \
-            root / DEFAULT_LOCK
-        if lock_file.exists():
-            ckpt_schema.compare_with_lock(
-                entries, lock_file.read_text(encoding="utf-8"), report
-            )
-        else:
-            report.add(
-                "ckpt-schema-lock-stale", DEFAULT_LOCK.as_posix(), 1,
-                "tools/ckpt_schema.lock does not exist; generate it with "
-                "tools/gs_analyze --write-lock and commit it",
-            )
+    lock_file = lock_path if lock_path is not None else root / DEFAULT_LOCK
+    if lock_file.exists():
+        ckpt_schema.compare_with_lock(
+            entries, lock_file.read_text(encoding="utf-8"), report
+        )
+    else:
+        report.add(
+            "ckpt-schema-lock-stale", DEFAULT_LOCK.as_posix(), 1,
+            "tools/ckpt_schema.lock does not exist; generate it with "
+            "tools/gs_analyze --write-lock and commit it",
+        )
 
-        durable_io.run(project, report)
-        fingerprint.run(project, report)
-        lock_order.run(project, report)
-        rng_streams.run(project, report)
+    durable_io.run(project, report)
+    fingerprint.run(project, report)
+    lock_order.run(project, report)
+    rng_streams.run(project, report)
 
     _report_stale_suppressions(files, report, set(report.rules_run))
     return report, lock_text
@@ -141,8 +135,8 @@ def _report_stale_suppressions(files: dict[str, source.SourceFile],
         for sup in sf.suppressions:
             if sup.used:
                 continue
-            # Only judge suppressions whose rules actually ran (the legacy
-            # shim must not call a new-engine suppression stale).
+            # Only judge suppressions whose rules all ran: one naming an
+            # unknown rule is not known to be stale.
             if not sup.rules <= rules_run:
                 continue
             rules = ", ".join(sorted(sup.rules))

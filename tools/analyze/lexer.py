@@ -2,7 +2,7 @@
 
 Produces a flat token stream with line numbers, classifying comments,
 string/char literals (including raw strings), preprocessor directives, and
-code tokens. The legacy gs_lint regexes matched rule patterns inside string
+code tokens. The legacy gs-lint regexes matched rule patterns inside string
 literals and comments (e.g. a "std::mutex" inside a log message); every
 pass in this package consumes tokens instead, so literal and comment text
 can never produce a code finding.

@@ -1,8 +1,8 @@
 """The ten legacy gs-lint rules, ported onto the lexer.
 
-Same rule names, same messages, same suppression placement as
-tools/gs_lint.py historically enforced — but matched against the token
-stream, so occurrences inside string literals, character literals and
+Same rule names, same messages, same suppression placement as the
+retired regex-based gs-lint script enforced — but matched against the
+token stream, so occurrences inside string literals, character literals and
 comments (the legacy regex pack's false-positive class) can no longer
 fire, and occurrences split across lines can no longer hide.
 """
