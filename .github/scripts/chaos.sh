@@ -7,9 +7,9 @@
 # half the bytes on disk), EIO/ENOSPC storms — and aims it at one of
 # three durability surfaces:
 #
-#   sweep   checkpointed perf_sweep: cell snapshots + rotated manifest
-#   mp      two cooperating sweep_worker processes: lease claims/steals
-#           on top of the same snapshot writes
+#   sweep   checkpointed gs_sweep: cell snapshots + rotated manifest
+#   mp      two cooperating `gs_sweep --worker` processes: lease
+#           claims/steals on top of the same snapshot writes
 #   daemon  wall-clock-paced greensprintd replay: rotated periodic
 #           checkpoints, the drain checkpoint, and (seed-dependent) the
 #           tsdb WAL
@@ -38,8 +38,7 @@ set -euo pipefail
 
 BUILD="${1:-./build}"
 WORK="${2:-chaos}"
-SWEEP="$BUILD/bench/perf_sweep"
-WORKER="$BUILD/tools/sweep_worker"
+SWEEP="$BUILD/tools/gs_sweep"
 DAEMON="$BUILD/tools/greensprintd"
 FEED="$BUILD/tools/gs_feed"
 FSCK="$BUILD/tools/gs_fsck"
@@ -59,8 +58,9 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# fingerprint <file>: the fp=HEX field of gs_sweep's result line.
 fingerprint() {
-  grep -o '"fingerprint": [0-9]*' "$1" | grep -o '[0-9]*$'
+  grep -o 'fp=[0-9a-f]*' "$1" | tail -1 | cut -d= -f2
 }
 
 # The seed -> (lane, spec) table. Specs are deterministic: an integer
@@ -108,9 +108,9 @@ SWEEP_REF_FP=""
 sweep_reference() {
   [ -n "$SWEEP_REF_FP" ] && return 0
   echo "== sweep reference (clean, $SWEEP_CELLS cells) =="
-  "$SWEEP" --cells "$SWEEP_CELLS" --checkpoint-dir "$WORK/sweep-ref-ckpt" \
-      --out "$WORK/sweep-ref.json"
-  SWEEP_REF_FP="$(fingerprint "$WORK/sweep-ref.json")"
+  "$SWEEP" --cells "$SWEEP_CELLS" --dir "$WORK/sweep-ref-ckpt" \
+      > "$WORK/sweep-ref.out"
+  SWEEP_REF_FP="$(fingerprint "$WORK/sweep-ref.out")"
   echo "sweep reference fingerprint: $SWEEP_REF_FP"
 }
 
@@ -125,9 +125,8 @@ run_sweep_seed() {
       exit 1
     fi
     rc=0
-    "$SWEEP" --cells "$SWEEP_CELLS" --checkpoint-dir "$dir" --resume \
+    "$SWEEP" --cells "$SWEEP_CELLS" --dir "$dir" --resume \
         --failpoints "$spec" --failpoint-seed "$seed" \
-        --out "$WORK/sweep-$seed-storm.json" \
         >> "$WORK/sweep-$seed.log" 2>&1 || rc=$?
     case "$rc" in
       0) break ;;
@@ -141,10 +140,10 @@ run_sweep_seed() {
   fsck_gate "$dir" "$seed"
   # Disarmed resume over the battered directory: torn cells and manifest
   # generations must be detected and recomputed, bit-identically.
-  "$SWEEP" --cells "$SWEEP_CELLS" --checkpoint-dir "$dir" --resume \
-      --out "$WORK/sweep-$seed-final.json" >> "$WORK/sweep-$seed.log" 2>&1
+  "$SWEEP" --cells "$SWEEP_CELLS" --dir "$dir" --resume \
+      > "$WORK/sweep-$seed-final.out" 2>> "$WORK/sweep-$seed.log"
   local fp
-  fp="$(fingerprint "$WORK/sweep-$seed-final.json")"
+  fp="$(fingerprint "$WORK/sweep-$seed-final.out")"
   if [ "$fp" != "$SWEEP_REF_FP" ]; then
     echo "FAIL[seed $seed]: fingerprint $fp != reference $SWEEP_REF_FP"
     exit 1
@@ -165,11 +164,11 @@ run_mp_seed() {
       exit 1
     fi
     local rc1=0 rc2=0
-    "$WORKER" --dir "$dir" --cells "$SWEEP_CELLS" --stale-after 1 \
+    "$SWEEP" --worker --dir "$dir" --cells "$SWEEP_CELLS" --stale-after 1 \
         --failpoints "$spec" --failpoint-seed "$seed" \
         >> "$WORK/mp-$seed.log" 2>&1 &
     local w1=$!
-    "$WORKER" --dir "$dir" --cells "$SWEEP_CELLS" --stale-after 1 \
+    "$SWEEP" --worker --dir "$dir" --cells "$SWEEP_CELLS" --stale-after 1 \
         --failpoints "$spec" --failpoint-seed "$((seed + 1))" \
         >> "$WORK/mp-$seed.log" 2>&1 &
     local w2=$!
@@ -192,10 +191,10 @@ run_mp_seed() {
   echo "-- mp storm completed after $attempt attempt(s)"
   fsck_gate "$dir" "$seed"
   # Disarmed merge must equal the single-process reference.
-  "$SWEEP" --cells "$SWEEP_CELLS" --checkpoint-dir "$dir" --resume \
-      --out "$WORK/mp-$seed-final.json" >> "$WORK/mp-$seed.log" 2>&1
+  "$SWEEP" --cells "$SWEEP_CELLS" --dir "$dir" --resume \
+      > "$WORK/mp-$seed-final.out" 2>> "$WORK/mp-$seed.log"
   local fp
-  fp="$(fingerprint "$WORK/mp-$seed-final.json")"
+  fp="$(fingerprint "$WORK/mp-$seed-final.out")"
   if [ "$fp" != "$SWEEP_REF_FP" ]; then
     echo "FAIL[seed $seed]: mp fingerprint $fp != reference $SWEEP_REF_FP"
     exit 1

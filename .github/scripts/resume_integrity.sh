@@ -4,7 +4,7 @@
 # For each lane (baseline, and a --storm lane with correlated fault storms
 # plus health-aware Hybrid recovery):
 #
-#   1. Run a checkpointed perf_sweep to completion (reference fingerprint).
+#   1. Run a checkpointed gs_sweep to completion (reference fingerprint).
 #   2. Start the same sweep in a fresh checkpoint directory and SIGKILL it
 #      mid-run, once a few cell snapshots have been persisted.
 #   3. Resume the killed sweep with --resume.
@@ -16,31 +16,30 @@
 # edge detectors and the health-extended Q-table exactly.
 #
 # A further multi-process lane drives the same campaign with two
-# cooperating sweep_worker processes (sim/sweep_mp: lease-file cell
+# cooperating `gs_sweep --worker` processes (sim/sweep_mp: lease-file cell
 # claiming over a shared checkpoint directory), SIGKILLs one of them
 # mid-campaign, lets the survivor reclaim its stale leases, and requires
 # the merged fingerprint to equal the single-process reference
 # bit-for-bit.
 #
-# Usage: resume_integrity.sh [path-to-perf_sweep] [work-dir]
+# Usage: resume_integrity.sh [path-to-gs_sweep] [work-dir]
 #   CELLS (env)       — baseline sweep size; larger widens the kill window.
 #   STORM_CELLS (env) — storm-lane sweep size (storm cells run slower).
 #   MP_CELLS (env)    — multi-process lane sweep size.
-#   WORKER (env)      — sweep_worker binary (default: next to perf_sweep).
 set -euo pipefail
 
-BIN="${1:-./build/bench/perf_sweep}"
+BIN="${1:-./build/tools/gs_sweep}"
 WORK="${2:-resume-integrity}"
 CELLS="${CELLS:-400}"
 STORM_CELLS="${STORM_CELLS:-120}"
 MP_CELLS="${MP_CELLS:-200}"
-WORKER="${WORKER:-$(dirname "$BIN")/../tools/sweep_worker}"
 
 rm -rf "$WORK"
 mkdir -p "$WORK"
 
-fingerprint() {
-  grep -o '"fingerprint": [0-9]*' "$1" | grep -o '[0-9]*$'
+# field <name> <file>: the value of name=VALUE on gs_sweep's result line.
+field() {
+  grep -o "$1=[0-9a-f]*" "$2" | tail -1 | cut -d= -f2
 }
 
 # The first poll can run before the sweep has created its checkpoint
@@ -51,21 +50,21 @@ cells_persisted() {
   { find "$1" -name '*.gsck' 2>/dev/null || true; } | wc -l | tr -d ' '
 }
 
-# run_lane <label> <cells> [extra perf_sweep flags...]
+# run_lane <label> <cells> [extra gs_sweep grid flags...]
 run_lane() {
   local label="$1" cells="$2"
   shift 2
 
   echo "== [$label] reference run (uninterrupted, $cells cells) =="
-  "$BIN" --cells "$cells" "$@" --checkpoint-dir "$WORK/$label-ref-ckpt" \
-      --out "$WORK/$label-ref.json"
+  "$BIN" --cells "$cells" "$@" --dir "$WORK/$label-ref-ckpt" \
+      > "$WORK/$label-ref.out"
   local ref_fp
-  ref_fp="$(fingerprint "$WORK/$label-ref.json")"
+  ref_fp="$(field fp "$WORK/$label-ref.out")"
   echo "[$label] reference fingerprint: $ref_fp"
 
   echo "== [$label] interrupted run (SIGKILL mid-sweep) =="
-  "$BIN" --cells "$cells" "$@" --checkpoint-dir "$WORK/$label-kill-ckpt" \
-      --out "$WORK/$label-interrupted.json" &
+  "$BIN" --cells "$cells" "$@" --dir "$WORK/$label-kill-ckpt" \
+      > "$WORK/$label-interrupted.out" &
   local pid=$!
   # Wait for the first few cell snapshots to land, then kill -9: the
   # process gets no chance to clean up, exactly like a preempted batch job.
@@ -89,12 +88,11 @@ run_lane() {
   fi
 
   echo "== [$label] resumed run =="
-  "$BIN" --cells "$cells" "$@" --checkpoint-dir "$WORK/$label-kill-ckpt" \
-      --resume --out "$WORK/$label-resumed.json"
+  "$BIN" --cells "$cells" "$@" --dir "$WORK/$label-kill-ckpt" --resume \
+      > "$WORK/$label-resumed.out"
   local res_fp resumed
-  res_fp="$(fingerprint "$WORK/$label-resumed.json")"
-  resumed="$(grep -o '"cells_resumed": [0-9]*' "$WORK/$label-resumed.json" \
-      | grep -o '[0-9]*$')"
+  res_fp="$(field fp "$WORK/$label-resumed.out")"
+  resumed="$(field resumed "$WORK/$label-resumed.out")"
   echo "[$label] resumed fingerprint:   $res_fp (cells resumed: $resumed)"
 
   if [ "$ref_fp" != "$res_fp" ]; then
@@ -107,9 +105,9 @@ run_lane() {
 
 # run_mp_lane <label> <cells> [shared grid flags...]
 #
-# Two sweep_worker processes cooperate on one checkpoint directory; one is
-# SIGKILLed once a few cells have been persisted (leaving a stale lease
-# behind with high probability). The survivor must finish the whole
+# Two `gs_sweep --worker` processes cooperate on one checkpoint directory;
+# one is SIGKILLed once a few cells have been persisted (leaving a stale
+# lease behind with high probability). The survivor must finish the whole
 # campaign, and the merged fingerprint must equal the single-process
 # reference.
 run_mp_lane() {
@@ -117,17 +115,17 @@ run_mp_lane() {
   shift 2
 
   echo "== [$label] reference run (single process, $cells cells) =="
-  "$BIN" --cells "$cells" "$@" --checkpoint-dir "$WORK/$label-ref-ckpt" \
-      --out "$WORK/$label-ref.json"
+  "$BIN" --cells "$cells" "$@" --dir "$WORK/$label-ref-ckpt" \
+      > "$WORK/$label-ref.out"
   local ref_fp
-  ref_fp="$(fingerprint "$WORK/$label-ref.json")"
+  ref_fp="$(field fp "$WORK/$label-ref.out")"
   echo "[$label] reference fingerprint: $ref_fp"
 
   echo "== [$label] 2-worker multi-process run, one worker SIGKILLed =="
   local dir="$WORK/$label-mp-ckpt"
-  "$WORKER" --dir "$dir" --cells "$cells" "$@" &
+  "$BIN" --worker --dir "$dir" --cells "$cells" "$@" &
   local victim=$!
-  "$WORKER" --dir "$dir" --cells "$cells" "$@" &
+  "$BIN" --worker --dir "$dir" --cells "$cells" "$@" &
   local survivor=$!
   for _ in $(seq 1 200); do
     local n
@@ -141,10 +139,10 @@ run_mp_lane() {
   wait "$survivor"
 
   echo "== [$label] merge =="
-  "$BIN" --cells "$cells" "$@" --checkpoint-dir "$dir" --resume \
-      --out "$WORK/$label-merged.json"
+  "$BIN" --cells "$cells" "$@" --dir "$dir" --resume \
+      > "$WORK/$label-merged.out"
   local mp_fp
-  mp_fp="$(fingerprint "$WORK/$label-merged.json")"
+  mp_fp="$(field fp "$WORK/$label-merged.out")"
   echo "[$label] merged fingerprint:    $mp_fp"
 
   if [ "$ref_fp" != "$mp_fp" ]; then

@@ -1,11 +1,9 @@
 // Shared helpers for the figure benches: run the (strategy x availability)
 // grid for one application/configuration and print the paper's per-duration
-// panels, plus wall-clock instrumentation for the perf benches.
+// panels.
 #pragma once
 
-#include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -26,133 +24,6 @@ inline bool smoke() {
   }();
   return v;
 }
-
-/// Monotonic wall-clock stopwatch.
-class WallTimer {
- public:
-  WallTimer() : start_(std::chrono::steady_clock::now()) {}
-  void restart() { start_ = std::chrono::steady_clock::now(); }
-  [[nodiscard]] double elapsed_s() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// One timed run_sweep execution.
-struct SweepTiming {
-  std::size_t cells = 0;
-  double seconds = 0.0;
-  double cells_per_sec = 0.0;
-  std::uint64_t fingerprint = 0;  ///< sweep_fingerprint of the results.
-};
-
-/// Time one sweep over the grid and digest its results.
-inline SweepTiming time_sweep(const std::vector<sim::Scenario>& grid,
-                              std::size_t threads = 0) {
-  WallTimer timer;
-  const auto results = sim::run_sweep(grid, threads);
-  SweepTiming t;
-  t.cells = grid.size();
-  t.seconds = timer.elapsed_s();
-  t.cells_per_sec = t.seconds > 0.0 ? double(t.cells) / t.seconds : 0.0;
-  t.fingerprint = sim::sweep_fingerprint(results);
-  return t;
-}
-
-/// Minimal order-preserving JSON object writer for BENCH_*.json artifacts
-/// (numbers, strings, booleans; no nesting needed by the perf benches).
-class JsonWriter {
- public:
-  void add(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", value);
-    raw_entries_.push_back("\"" + key + "\": " + buf);
-  }
-  void add(const std::string& key, std::uint64_t value) {
-    raw_entries_.push_back("\"" + key + "\": " + std::to_string(value));
-  }
-  void add(const std::string& key, const std::string& value) {
-    raw_entries_.push_back("\"" + key + "\": \"" + value + "\"");
-  }
-  void add(const std::string& key, bool value) {
-    raw_entries_.push_back(std::string("\"") + key +
-                           "\": " + (value ? "true" : "false"));
-  }
-
-  [[nodiscard]] std::string str() const {
-    std::string out = "{\n";
-    for (std::size_t i = 0; i < raw_entries_.size(); ++i) {
-      out += "  " + raw_entries_[i];
-      if (i + 1 < raw_entries_.size()) out += ",";
-      out += "\n";
-    }
-    out += "}\n";
-    return out;
-  }
-
-  bool write(const std::string& path) const {
-    std::ofstream os(path);
-    if (!os) return false;
-    os << str();
-    return bool(os);
-  }
-
- private:
-  std::vector<std::string> raw_entries_;
-};
-
-/// Shared checkpoint/resume CLI for the long-campaign benches:
-///
-///   --checkpoint-dir DIR   enable checkpointing into DIR
-///   --checkpoint-every N   persist every Nth completed cell (default 1)
-///   --resume               load completed cells from DIR before running
-///
-/// Wire it into an argv loop with parse(), then call run() instead of
-/// sim::run_sweep — without --checkpoint-dir it is a plain run_sweep, so
-/// benches keep their exact unflagged behavior.
-struct CheckpointCli {
-  sim::SweepCheckpointOptions options;
-
-  [[nodiscard]] bool enabled() const { return !options.dir.empty(); }
-
-  /// Consume argv[i] (and its value argument, if any) when it is one of
-  /// the checkpoint flags; returns false to let the bench handle it.
-  bool parse(int argc, char** argv, int& i) {
-    const std::string_view a = argv[i];
-    if (a == "--checkpoint-dir" && i + 1 < argc) {
-      options.dir = argv[++i];
-      return true;
-    }
-    if (a == "--checkpoint-every" && i + 1 < argc) {
-      options.every = std::strtoull(argv[++i], nullptr, 10);
-      if (options.every == 0) options.every = 1;
-      return true;
-    }
-    if (a == "--resume") {
-      options.resume = true;
-      return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::vector<sim::BurstResult> run(
-      const std::vector<sim::Scenario>& cells, std::size_t threads = 0,
-      sim::SweepCheckpointStats* stats = nullptr) const {
-    if (!enabled()) {
-      if (stats != nullptr) {
-        stats->cells_total = cells.size();
-        stats->cells_resumed = 0;
-        stats->cells_run = cells.size();
-      }
-      return sim::run_sweep(cells, threads);
-    }
-    return sim::run_sweep_checkpointed(cells, options, threads, stats);
-  }
-};
 
 inline sim::Scenario scenario(workload::AppDescriptor app,
                               sim::GreenConfig cfg, core::StrategyKind k,

@@ -79,24 +79,27 @@ inline std::string CliArgs::get(const std::string& key,
 inline double CliArgs::get(const std::string& key, double fallback) const {
   const auto v = value(key);
   if (!v) return fallback;
+  std::size_t used = 0;
   try {
-    return std::stod(*v);
+    const double d = std::stod(*v, &used);
+    if (used == v->size()) return d;
   } catch (...) {
-    GS_REQUIRE(false, "option --" + key + " expects a number, got '" + *v +
-                          "'");
   }
+  GS_REQUIRE(false, "option --" + key + " expects a number, got '" + *v + "'");
   return fallback;
 }
 
 inline int CliArgs::get(const std::string& key, int fallback) const {
   const auto v = value(key);
   if (!v) return fallback;
+  std::size_t used = 0;
   try {
-    return std::stoi(*v);
+    const int i = std::stoi(*v, &used);
+    if (used == v->size()) return i;
   } catch (...) {
-    GS_REQUIRE(false, "option --" + key + " expects an integer, got '" +
-                          *v + "'");
   }
+  GS_REQUIRE(false,
+             "option --" + key + " expects an integer, got '" + *v + "'");
   return fallback;
 }
 

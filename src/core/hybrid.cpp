@@ -296,7 +296,7 @@ void seed_row(double* row, const double* rewards, std::size_t actions,
 void HybridStrategy::run_seed_sweeps(QTable& q) const {
   const auto levels = std::size_t(profile_.num_levels());
   const auto actions = profile_.lattice().size();
-  // Fresh tables (the cache-miss path perf_sweep hits) start every health
+  // Fresh tables (the cache-miss path of a cold sweep) start every health
   // slice of a (bucket, level) state at zero; identical rewards then drive
   // identical update sequences, so slice 0 is computed once and copied.
   // Seeding on top of learned values keeps per-slice differences: every

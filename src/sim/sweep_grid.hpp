@@ -1,5 +1,5 @@
-// The fixed perf-sweep scenario grid, shared by bench/perf_sweep and
-// tools/sweep_worker. Both sides of a multi-process sweep must construct
+// The fixed sweep scenario grid, shared by tools/gs_sweep and gs_bench.
+// Every process of a multi-process sweep must construct
 // the *identical* cell list — the checkpoint manifest keys every cell by
 // scenario_fingerprint — so the grid builder lives in the library instead
 // of being copied into each binary.
@@ -12,7 +12,7 @@
 
 namespace gs::sim {
 
-/// The perf_sweep grid: 3 apps x 3 availabilities x 4 strategies x
+/// The sweep grid: 3 apps x 3 availabilities x 4 strategies x
 /// 2 durations x 2 seeds = 144 cells (smoke: 1 app x 2 availabilities x
 /// 4 strategies x 1 duration x 1 seed = 8 cells), all on the re_sbatt
 /// green configuration at saturating intensity.

@@ -60,6 +60,21 @@ TEST(Cli, MalformedNumberThrows) {
   const auto a = parse({"--rate=abc"});
   EXPECT_THROW((void)a.get("rate", 0.0), ContractError);
   EXPECT_THROW((void)a.get("rate", 0), ContractError);
+  // The whole token must be the number: a valid prefix is not read.
+  const auto b = parse({"--count=12abc", "--rate=2.5x", "--empty="});
+  EXPECT_THROW((void)b.get("count", 0), ContractError);
+  EXPECT_THROW((void)b.get("count", 0.0), ContractError);
+  EXPECT_THROW((void)b.get("rate", 0.0), ContractError);
+  EXPECT_THROW((void)b.get("rate", 0), ContractError);
+  EXPECT_THROW((void)b.get("empty", 0), ContractError);
+  EXPECT_THROW((void)b.get("empty", 0.0), ContractError);
+  // Out of int range is malformed too, not wrapped.
+  const auto c = parse({"--count=99999999999"});
+  EXPECT_THROW((void)c.get("count", 0), ContractError);
+  // Negative operands are numbers; range checks belong to the caller.
+  const auto d = parse({"--count", "-3", "--rate", "-0.5"});
+  EXPECT_EQ(d.get("count", 0), -3);
+  EXPECT_DOUBLE_EQ(d.get("rate", 0.0), -0.5);
 }
 
 TEST(Cli, KeysListsOptions) {

@@ -217,7 +217,7 @@ TEST(FaultSim, DayCampaignMatchesGoldenDigests) {
 }
 
 TEST(FaultSim, StormSweepMatchesGoldenDigest) {
-  // perf_sweep --storm --smoke: the smoke grid under correlated storms.
+  // gs_sweep --smoke --storm: the smoke grid under correlated storms.
   std::vector<Scenario> grid = perf_grid(true);
   add_storms(grid);
   for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {

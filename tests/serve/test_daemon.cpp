@@ -182,6 +182,27 @@ struct RunningDaemon {
   std::thread runner;
 };
 
+/// Removes a rotating checkpoint when the test's scope ends, early ASSERT
+/// returns included: every generation, the pointer file and the base path.
+struct RemoveCheckpointOnExit {
+  std::filesystem::path base;
+  ~RemoveCheckpointOnExit() {
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    try {
+      for (const auto& [gen, path] :
+           ckpt::RotatingSnapshot::list_generations(base)) {
+        (void)gen;
+        fs::remove(path, ec);
+      }
+    } catch (const fs::filesystem_error& e) {
+      ADD_FAILURE() << "cannot list checkpoint generations: " << e.what();
+    }
+    fs::remove(ckpt::RotatingSnapshot::pointer_path(base), ec);
+    fs::remove(base, ec);
+  }
+};
+
 TEST(ServeDaemon, SessionErrorsAreTyped) {
   DaemonConfig cfg;
   cfg.day = scenario();
@@ -256,6 +277,47 @@ TEST(ServeDaemon, DrainFingerprintMatchesBatch) {
   EXPECT_TRUE(d.report.drained);
   EXPECT_EQ(d.report.result_fingerprint, batch_fp);
   EXPECT_EQ(d.report.stale_epochs, 0u);
+}
+
+TEST(ServeDaemon, UnpacedDrainFloor) {
+  // Ingest floor of the whole serving path: hello, the pre-rendered 1-day
+  // feed and drain go out in one write, and the clock runs from that write
+  // to the daemon's exit. One event is one 60 s controller epoch, so
+  // 10k events/s is ~6e5x real time. A fast daemon serving wrong epochs is
+  // no result: every drained fingerprint must be the batch run's. The best
+  // of three daemons is compared, so a test running alongside on the same
+  // cores cannot fail it by stealing one window.
+  constexpr double kFloorEventsPerSec = 1.0e4;
+  constexpr int kTrials = 3;
+  const sim::DayRunConfig day = scenario();
+  const std::uint64_t batch_fp =
+      sim::day_result_fingerprint(sim::run_days(day));
+  const auto events = plan_events(day);
+  std::string wire = encode_frame("hello " + protocol_id());
+  for (const FeedEvent& ev : events) wire += encode_frame(format_feed(ev));
+  wire += encode_frame("drain");
+
+  double best_secs = 0.0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    DaemonConfig cfg;
+    cfg.day = day;
+    cfg.socket_path = test_socket_path("floor");
+    RunningDaemon d(std::move(cfg));
+    Client c(d.socket_path);
+    const auto start = std::chrono::steady_clock::now();
+    c.send_raw(wire);
+    d.join();
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    EXPECT_TRUE(d.report.completed) << "trial " << trial;
+    EXPECT_EQ(d.report.result_fingerprint, batch_fp) << "trial " << trial;
+    ASSERT_EQ(d.report.ingested, events.size()) << "trial " << trial;
+    if (trial == 0 || secs < best_secs) best_secs = secs;
+  }
+  const double events_per_sec = double(events.size()) / best_secs;
+  RecordProperty("events_per_sec", std::to_string(events_per_sec));
+  EXPECT_GE(events_per_sec, kFloorEventsPerSec);
 }
 
 TEST(ServeDaemon, OutOfDomainFeedsAreRejectedThenReplayMatchesBatch) {
@@ -419,6 +481,7 @@ TEST(ServeDaemon, MidStreamStopThenResumeReproducesBatch) {
   const auto events = plan_events(day);
   const std::string ckpt =
       "/tmp/gs_test_stop_resume_" + std::to_string(::getpid()) + ".ckpt";
+  const RemoveCheckpointOnExit cleanup{ckpt};
 
   {
     DaemonConfig cfg;
@@ -461,7 +524,6 @@ TEST(ServeDaemon, MidStreamStopThenResumeReproducesBatch) {
     EXPECT_EQ(Client::field_u64(*reply, "completed"), 1u);
     EXPECT_EQ(Client::field_hex(*reply, "fp"), batch_fp);
   }
-  ::unlink(ckpt.c_str());
 }
 
 TEST(ServeDaemon, CheckpointCommandSnapshotsAConsistentFork) {
@@ -471,6 +533,7 @@ TEST(ServeDaemon, CheckpointCommandSnapshotsAConsistentFork) {
   const auto events = plan_events(day);
   const std::string ckpt =
       "/tmp/gs_test_cmd_ckpt_" + std::to_string(::getpid()) + ".ckpt";
+  const RemoveCheckpointOnExit cleanup{ckpt};
 
   {
     DaemonConfig cfg;
@@ -518,7 +581,6 @@ TEST(ServeDaemon, CheckpointCommandSnapshotsAConsistentFork) {
     ASSERT_TRUE(reply);
     EXPECT_EQ(Client::field_hex(*reply, "fp"), batch_fp);
   }
-  ::unlink(ckpt.c_str());
 }
 
 TEST(ServeDaemon, ResumeFallsBackToLastKnownGoodGeneration) {
@@ -530,6 +592,7 @@ TEST(ServeDaemon, ResumeFallsBackToLastKnownGoodGeneration) {
   const fs::path base = fs::path("/tmp") / ("gs_test_fallback_" +
                                             std::to_string(::getpid()) +
                                             ".ckpt");
+  const RemoveCheckpointOnExit cleanup{base};
 
   {
     DaemonConfig cfg;
@@ -577,12 +640,6 @@ TEST(ServeDaemon, ResumeFallsBackToLastKnownGoodGeneration) {
     EXPECT_EQ(Client::field_u64(*reply, "completed"), 1u);
     EXPECT_EQ(Client::field_hex(*reply, "fp"), batch_fp);
   }
-  for (const auto& [gen, path] :
-       ckpt::RotatingSnapshot::list_generations(base)) {
-    (void)gen;
-    fs::remove(path);
-  }
-  fs::remove(ckpt::RotatingSnapshot::pointer_path(base));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -167,6 +168,52 @@ TEST(RequestGrammar, FeedRoundTripsThroughFormatFeed) {
   EXPECT_EQ(out.request->feed.lambda, ev.lambda);
   EXPECT_EQ(out.request->feed.irradiance, ev.irradiance);
   EXPECT_EQ(out.request->feed.burst, ev.burst);
+}
+
+TEST(RequestGrammar, FeedStreamRoundTripsThroughOneDecoder) {
+  // 200k synthetic feed frames as one wire stream, read back through a
+  // single FrameDecoder in 4 KiB slices (so frames straddle reads, as on a
+  // socket): every frame parses, in order, with each field bit-equal to
+  // the event that was formatted.
+  constexpr std::uint64_t kEvents = 200000;
+  const auto event = [](std::uint64_t i) {
+    FeedEvent ev;
+    ev.seq = i;
+    ev.lambda = 30.0 + double(i % 997) * 0.0625;
+    ev.irradiance = double(i % 1201) / 1200.0;  // the [0, 1] feed domain
+    ev.burst = (i % 37) == 0;
+    return ev;
+  };
+  std::string wire;
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    wire += encode_frame(format_feed(event(i)));
+  }
+
+  FrameDecoder dec;
+  std::string payload;
+  std::uint64_t parsed = 0;
+  std::uint64_t wrong = 0;
+  constexpr std::size_t kSlice = 4096;
+  for (std::size_t off = 0; off < wire.size(); off += kSlice) {
+    dec.feed(std::string_view(wire).substr(off, kSlice));
+    while (dec.next(payload)) {
+      const auto out = parse_request(payload);
+      const FeedEvent want = event(parsed++);
+      if (!out.request || out.request->kind != Request::Kind::Feed ||
+          out.request->feed.seq != want.seq ||
+          std::bit_cast<std::uint64_t>(out.request->feed.lambda) !=
+              std::bit_cast<std::uint64_t>(want.lambda) ||
+          std::bit_cast<std::uint64_t>(out.request->feed.irradiance) !=
+              std::bit_cast<std::uint64_t>(want.irradiance) ||
+          out.request->feed.burst != want.burst) {
+        ++wrong;
+      }
+    }
+  }
+  EXPECT_FALSE(dec.error().has_value()) << dec.error().value_or("");
+  EXPECT_EQ(dec.buffered(), 0u);
+  EXPECT_EQ(parsed, kEvents);
+  EXPECT_EQ(wrong, 0u);
 }
 
 TEST(RequestGrammar, FeedAdversarialOperands) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
+#include <string>
+
 #include "common/assert.hpp"
 
 #include "core/hybrid.hpp"
@@ -80,17 +84,65 @@ TEST(Sweep, BitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(fp1, fp4);
 }
 
+/// sweep_fingerprint of perf_grid(false) and perf_grid(true): the digests
+/// `gs_sweep` prints for the full and the `--smoke` grid.
+constexpr std::uint64_t kPerfGridDigest = 0xcc9c9041d033048cull;
+constexpr std::uint64_t kSmokeGridDigest = 0xed32a5c885a91ed8ull;
+
 TEST(Sweep, CleanSweepMatchesGoldenDigest) {
-  // perf_sweep's full grid with no faults: 144 BurstSim cells (3 apps x 3
+  // The full sweep grid with no faults: 144 BurstSim cells (3 apps x 3
   // availabilities x 4 strategies x 2 durations x 2 seeds) through Hybrid,
   // the scalar Battery and the PSS.
   const std::vector<Scenario> grid = perf_grid(false);
   ASSERT_EQ(grid.size(), 144u);
   for (const std::size_t threads : {std::size_t(1), std::size_t(4)}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    EXPECT_EQ(sweep_fingerprint(run_sweep(grid, threads)),
-              0xcc9c9041d033048cull);
+    EXPECT_EQ(sweep_fingerprint(run_sweep(grid, threads)), kPerfGridDigest);
   }
+}
+
+TEST(Sweep, SmokeGridIsIdenticalColdWarmAndSerial) {
+  // Results must depend on neither the thread count nor the state of the
+  // substrate caches: cold and warm at the default thread count, then warm
+  // and cold on one thread.
+  const std::vector<Scenario> grid = perf_grid(true);
+  ASSERT_EQ(grid.size(), 8u);
+  clear_substrate_caches();
+  EXPECT_EQ(sweep_fingerprint(run_sweep(grid, 0)), kSmokeGridDigest)
+      << "cold";
+  EXPECT_EQ(sweep_fingerprint(run_sweep(grid, 0)), kSmokeGridDigest)
+      << "warm";
+  EXPECT_EQ(sweep_fingerprint(run_sweep(grid, 1)), kSmokeGridDigest)
+      << "warm, one thread";
+  clear_substrate_caches();
+  EXPECT_EQ(sweep_fingerprint(run_sweep(grid, 1)), kSmokeGridDigest)
+      << "cold, one thread";
+}
+
+TEST(Sweep, WarmPerfGridFloor) {
+  // Throughput floor of the warm sweep engine: twice the 96.86 cells/s the
+  // full grid ran at before the shared substrate caches and the
+  // allocation-lean DES. A fast sweep with a wrong answer is no result, so
+  // every timed run's digest is checked too. The best of three warm runs
+  // is compared, so a test running alongside on the same cores cannot
+  // fail it by stealing one window.
+  constexpr double kFloorCellsPerSec = 2.0 * 96.86;
+  constexpr int kTrials = 3;
+  const std::vector<Scenario> grid = perf_grid(false);
+  (void)run_sweep(grid);  // warms the solar, profile and seed caches
+  double best_secs = 0.0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const auto start = std::chrono::steady_clock::now();
+    const auto warm = run_sweep(grid);
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    EXPECT_EQ(sweep_fingerprint(warm), kPerfGridDigest) << "trial " << trial;
+    if (trial == 0 || secs < best_secs) best_secs = secs;
+  }
+  const double cells_per_sec = double(grid.size()) / best_secs;
+  RecordProperty("cells_per_sec", std::to_string(cells_per_sec));
+  EXPECT_GE(cells_per_sec, kFloorCellsPerSec);
 }
 
 TEST(Sweep, BitIdenticalWarmAndColdCaches) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -56,6 +57,57 @@ void ingest_grid(Engine& engine, std::uint64_t samples_per_series) {
       engine.append(id, double(i) * 60.0, double(server) * 1000.0 + double(i));
     }
   }
+}
+
+/// The scan grid: 16 metrics x 8 servers on rack 0, 1024 one-minute
+/// samples per series, in chunks of 512 with a 32-page cache.
+constexpr std::uint32_t kScanMetrics = 16;
+constexpr std::uint32_t kScanServers = 8;
+constexpr std::uint64_t kScanSamples = 1024;
+
+std::string scan_metric(std::uint32_t m) {
+  return "scan_metric_" + std::to_string(m);
+}
+
+/// Slowly varying doubles (no RNG), so they compress like real
+/// power/goodput series.
+double scan_value(std::uint32_t metric, std::uint32_t server,
+                  std::uint64_t i) {
+  return double(metric) * 100.0 + double(server) + double(i % 97) * 0.125 +
+         double(i % 7) * 0.015625;
+}
+
+EngineOptions scan_options(Strategy s, const fs::path& dir) {
+  EngineOptions opts;
+  opts.strategy = s;
+  opts.dir = dir;
+  opts.chunk_capacity = 512;
+  opts.cache_chunks = 32;
+  return opts;
+}
+
+std::vector<SeriesId> register_scan_grid(Engine& engine) {
+  std::vector<SeriesId> ids;
+  for (std::uint32_t m = 0; m < kScanMetrics; ++m) {
+    for (std::uint32_t s = 0; s < kScanServers; ++s) {
+      ids.push_back(engine.series(scan_metric(m), /*rack=*/0, s));
+    }
+  }
+  return ids;
+}
+
+/// Append every sample epoch by epoch across all series, as a sweep
+/// records them, then flush.
+void append_scan_grid(Engine& engine, const std::vector<SeriesId>& ids) {
+  for (std::uint64_t i = 0; i < kScanSamples; ++i) {
+    std::size_t k = 0;
+    for (std::uint32_t m = 0; m < kScanMetrics; ++m) {
+      for (std::uint32_t s = 0; s < kScanServers; ++s) {
+        engine.append(ids[k++], double(i) * 60.0, scan_value(m, s, i));
+      }
+    }
+  }
+  engine.flush();
 }
 
 class EngineAllStrategies : public ::testing::TestWithParam<Strategy> {};
@@ -142,6 +194,64 @@ TEST_P(EngineAllStrategies, StateRoundTripIsExact) {
   restored.append(b, 75.0 * 60.0, 75.0);
   EXPECT_EQ(drain(restored.query("power_w", 1)),
             drain(engine.query("power_w", 1)));
+}
+
+TEST_P(EngineAllStrategies, FullScanOfEveryMetricReturnsEveryRow) {
+  // Two full-range passes over every metric (all servers per cursor) after
+  // seal_all; the second pass is the one CACHE could serve from memory.
+  // Rows come grouped by server and time-ordered within each, each with
+  // the value that was appended.
+  const auto dir = fresh_dir(std::string("scan_") + to_string(GetParam()));
+  Engine engine(scan_options(GetParam(), dir));
+  append_scan_grid(engine, register_scan_grid(engine));
+  engine.seal_all();
+  std::uint64_t rows = 0;
+  std::uint64_t wrong = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::uint32_t m = 0; m < kScanMetrics; ++m) {
+      auto cur = engine.query(scan_metric(m), /*rack=*/0);
+      std::uint64_t n = 0;
+      CursorRow row;
+      while (cur.next(row)) {
+        const auto server = std::uint32_t(n / kScanSamples);
+        const std::uint64_t i = n % kScanSamples;
+        if (row.key.server_id != server ||
+            row.sample.time != to_timestamp(double(i) * 60.0) ||
+            row.sample.value != scan_value(m, server, i)) {
+          ++wrong;
+        }
+        ++n;
+      }
+      rows += n;
+    }
+  }
+  EXPECT_EQ(rows, 2 * kScanSamples * kScanMetrics * kScanServers);
+  EXPECT_EQ(wrong, 0u);
+}
+
+TEST(Engine, MemoryIngestFloor) {
+  // The in-memory append path has no IO to hide behind: the scan grid's
+  // 131072 samples must go in at 1M samples/s or more, flush included.
+  // The best of three fresh engines is compared, so a test running
+  // alongside on the same cores cannot fail it by stealing one window.
+  constexpr double kFloorSamplesPerSec = 1.0e6;
+  constexpr int kTrials = 3;
+  const std::uint64_t samples = kScanSamples * kScanMetrics * kScanServers;
+  double best_secs = 0.0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    Engine engine(scan_options(Strategy::MEMORY, fs::path()));
+    const auto ids = register_scan_grid(engine);
+    const auto start = std::chrono::steady_clock::now();
+    append_scan_grid(engine, ids);
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    ASSERT_EQ(engine.stats().appends, samples);
+    if (trial == 0 || secs < best_secs) best_secs = secs;
+  }
+  const double samples_per_sec = double(samples) / best_secs;
+  RecordProperty("samples_per_sec", std::to_string(samples_per_sec));
+  EXPECT_GE(samples_per_sec, kFloorSamplesPerSec);
 }
 
 TEST(Engine, ListSeriesAndStats) {
