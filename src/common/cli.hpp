@@ -1,17 +1,24 @@
 // Minimal command-line option parser for the examples and tools:
 // supports --key=value, --key value, and bare --flag forms, with typed
-// accessors and defaults. Unknown keys are collected so a tool can reject
-// typos explicitly.
+// accessors and defaults. validate() rejects unknown keys, positional
+// arguments and misplaced values, so a typo is an error, not a default.
 #pragma once
 
 #include <map>
 #include <optional>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/assert.hpp"
 
 namespace gs {
+
+/// A command line a tool refuses (tools exit 2 with their usage text).
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 class CliArgs {
  public:
@@ -34,6 +41,12 @@ class CliArgs {
   }
   /// All parsed option keys (to detect unknown options).
   [[nodiscard]] std::vector<std::string> keys() const;
+
+  /// Throws UsageError on a positional argument, on an option that is
+  /// neither in `value_keys` nor in `flag_keys`, and on a value key given
+  /// bare or a flag key given a value.
+  void validate(const std::set<std::string>& value_keys,
+                const std::set<std::string>& flag_keys) const;
 
  private:
   std::map<std::string, std::optional<std::string>> options_;
@@ -108,6 +121,23 @@ inline std::vector<std::string> CliArgs::keys() const {
   out.reserve(options_.size());
   for (const auto& [k, v] : options_) out.push_back(k);
   return out;
+}
+
+inline void CliArgs::validate(const std::set<std::string>& value_keys,
+                              const std::set<std::string>& flag_keys) const {
+  if (!positional_.empty()) {
+    throw UsageError("unexpected argument '" + positional_[0] + "'");
+  }
+  for (const auto& [key, value] : options_) {
+    const bool takes_value = value_keys.count(key) > 0;
+    if (!takes_value && flag_keys.count(key) == 0) {
+      throw UsageError("unknown option --" + key);
+    }
+    if (takes_value != value.has_value()) {
+      throw UsageError("--" + key +
+                       (takes_value ? " needs a value" : " takes no value"));
+    }
+  }
 }
 
 }  // namespace gs

@@ -15,10 +15,10 @@
 //    every class's activation probability, replacing the independent
 //    per-candidate Bernoulli draws with clustered on/off episodes.
 //
-// Correlation is strictly opt-in: a default CorrelationSpec is disabled and
-// FaultSchedule::generate_correlated returns the plain independent schedule
-// bit-for-bit, so existing schedules, CSV replays and sweep fingerprints
-// are unchanged. The latent processes draw from their own Rng::stream tags,
+// Correlation is strictly opt-in: under a default (disabled)
+// CorrelationSpec, FaultSchedule::generate returns the plain independent
+// schedule, so existing schedules, CSV replays and sweep fingerprints are
+// unchanged. The latent processes draw from their own Rng::stream tags,
 // never advancing the candidate streams of the base generator.
 #pragma once
 
@@ -84,7 +84,7 @@ struct CorrelationSpec {
   std::uint64_t seed = 0;
 
   /// Any latent process active? False for a default-constructed spec:
-  /// generate_correlated is then bit-identical to generate().
+  /// FaultSchedule::generate then yields the independent schedule.
   [[nodiscard]] bool enabled() const;
 
   /// Parse "storm=0.6,cascade=0.5,regime_on=0.1,...,seed=9" (keys:

@@ -33,8 +33,7 @@ FaultInjector::FaultInjector(const FaultSpec& spec, Seconds horizon,
 FaultInjector::FaultInjector(const FaultSpec& spec,
                              const CorrelationSpec& corr, Seconds horizon,
                              Seconds epoch, int servers)
-    : schedule_(FaultSchedule::generate_correlated(spec, corr, horizon, epoch,
-                                                   servers)),
+    : schedule_(FaultSchedule::generate(spec, corr, horizon, epoch, servers)),
       servers_(servers),
       // Correlation only modulates the spec's intensities; an all-zero spec
       // stays disabled like the plain constructor.

@@ -87,68 +87,19 @@ const char* to_string(FaultOrigin o) {
   return "?";
 }
 
-FaultSchedule FaultSchedule::generate(const FaultSpec& spec, Seconds horizon,
-                                      Seconds epoch, int servers) {
+FaultSchedule FaultSchedule::generate(const FaultSpec& spec,
+                                      const CorrelationSpec& corr,
+                                      Seconds horizon, Seconds epoch,
+                                      int servers) {
   GS_REQUIRE(horizon.value() >= 0.0, "fault horizon must be non-negative");
   GS_REQUIRE(epoch.value() > 0.0, "fault epoch must be positive");
   GS_REQUIRE(servers >= 1, "fault schedule needs at least one server");
   FaultSchedule sched;
   sched.spec_ = spec;
-  if (!spec.any() || horizon.value() <= 0.0) return sched;
-
-  const double n_epochs = horizon.value() / epoch.value();
-  for (FaultClass c : all_fault_classes()) {
-    const double intensity = spec.intensity(c);
-    // Candidate population is intensity-independent so that schedules at
-    // different intensities of the same seed nest (see header).
-    Rng rng = Rng::stream(spec.seed, {kFaultStreamTag, std::uint64_t(c)});
-    const auto n_candidates = std::max<std::uint64_t>(
-        1, std::uint64_t(n_epochs / candidate_spacing_epochs(c)));
-    const auto [dur_lo, dur_hi] = duration_epochs(c);
-    for (std::uint64_t i = 0; i < n_candidates; ++i) {
-      // Draw every field unconditionally: the stream position must not
-      // depend on which candidates activate.
-      const double start_frac = rng.uniform();
-      const auto dur_epochs =
-          dur_lo + std::int64_t(rng.uniform_int(
-                       std::uint64_t(dur_hi - dur_lo + 1)));
-      const double severity_base = rng.uniform(0.3, 1.0);
-      const double activation = rng.uniform();
-      const int target =
-          is_server_targeted(c) ? int(rng.uniform_int(std::uint64_t(servers)))
-                                : -1;
-      if (intensity <= 0.0 || activation >= intensity) continue;
-      FaultEvent ev;
-      ev.cls = c;
-      ev.start = Seconds(start_frac * horizon.value());
-      ev.duration = epoch * double(dur_epochs);
-      ev.magnitude =
-          is_boolean(c) ? 1.0 : std::min(0.95, severity_base * intensity);
-      ev.target = target;
-      sched.events_.push_back(ev);
-    }
-  }
-  std::stable_sort(sched.events_.begin(), sched.events_.end(),
-                   [](const FaultEvent& a, const FaultEvent& b) {
-                     return a.start.value() < b.start.value();
-                   });
-  sched.build_index();
-  return sched;
-}
-
-FaultSchedule FaultSchedule::generate_correlated(const FaultSpec& spec,
-                                                 const CorrelationSpec& corr,
-                                                 Seconds horizon, Seconds epoch,
-                                                 int servers) {
-  // Disabled correlation must be the identity: existing schedules, CSV
-  // replays and sweep fingerprints stay bit-identical.
-  if (!corr.enabled()) return generate(spec, horizon, epoch, servers);
-  GS_REQUIRE(horizon.value() >= 0.0, "fault horizon must be non-negative");
-  GS_REQUIRE(epoch.value() > 0.0, "fault epoch must be positive");
-  GS_REQUIRE(servers >= 1, "fault schedule needs at least one server");
-  FaultSchedule sched;
-  sched.spec_ = spec;
-  sched.storm_ = StormModel(spec, corr, horizon, epoch);
+  // A disabled spec keeps the inert default model: its activation_scale is
+  // exactly 1.0, so the loop below reproduces the independent schedule, and
+  // save_state writes no storm section.
+  if (corr.enabled()) sched.storm_ = StormModel(spec, corr, horizon, epoch);
   // A zero spec stays fault-free: correlation modulates intensities, it
   // cannot conjure faults from none.
   if (!spec.any() || horizon.value() <= 0.0) return sched;
@@ -156,14 +107,16 @@ FaultSchedule FaultSchedule::generate_correlated(const FaultSpec& spec,
   const double n_epochs = horizon.value() / epoch.value();
   for (FaultClass c : all_fault_classes()) {
     const double intensity = spec.intensity(c);
-    // Same candidate population and draw order as generate(): correlation
-    // reshapes only the activating *subset* (and the applied magnitudes),
-    // never the candidates themselves, so schedules still nest.
+    // Candidates are drawn independently of intensity and correlation, so
+    // schedules nest (see header): correlation reshapes only the activating
+    // *subset* (and the applied magnitudes).
     Rng rng = Rng::stream(spec.seed, {kFaultStreamTag, std::uint64_t(c)});
     const auto n_candidates = std::max<std::uint64_t>(
         1, std::uint64_t(n_epochs / candidate_spacing_epochs(c)));
     const auto [dur_lo, dur_hi] = duration_epochs(c);
     for (std::uint64_t i = 0; i < n_candidates; ++i) {
+      // Draw every field unconditionally: the stream position must not
+      // depend on which candidates activate.
       const double start_frac = rng.uniform();
       const auto dur_epochs =
           dur_lo + std::int64_t(rng.uniform_int(

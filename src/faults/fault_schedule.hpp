@@ -6,18 +6,18 @@
 // activates iff its activation draw falls below the class intensity, and
 // its applied magnitude scales with the intensity. Two consequences:
 //
-//  * identical (spec, horizon, epoch, servers) inputs replay the identical
-//    event stream (the determinism acceptance criterion), and
+//  * identical (spec, correlation, horizon, epoch, servers) inputs replay
+//    the identical event stream (the determinism acceptance criterion), and
 //  * schedules are *nested* in intensity — the events active at 0.2 are a
 //    subset of those active at 0.4, with weaker magnitudes — so the
 //    resilience bench's QoS-vs-intensity curves degrade monotonically
 //    instead of resampling an unrelated failure history per point.
 //
-// generate_correlated() layers the latent processes of faults/correlation.hpp
-// on top: the *same* candidate population and draw order, with only the
-// activation threshold modulated per candidate, plus a single-generation
-// rack-cascade pass. With a disabled CorrelationSpec it returns generate()'s
-// schedule bit for bit.
+// An enabled CorrelationSpec layers the latent processes of
+// faults/correlation.hpp on top: the *same* candidate population and draw
+// order, with only the activation threshold modulated per candidate, plus a
+// single-generation rack-cascade pass. A disabled spec leaves every
+// threshold at the class intensity: the independent schedule.
 //
 // Schedules serialize to CSV so a replayed incident can be attached to a
 // bug report and re-run exactly.
@@ -77,19 +77,15 @@ class FaultSchedule {
 
   /// Generate the event stream for a run of length `horizon` with
   /// scheduling epoch `epoch` over `servers` green servers. Times are
-  /// run-relative (t = 0 is the first fault-injected epoch).
+  /// run-relative (t = 0 is the first fault-injected epoch). An enabled
+  /// `corr` realizes a StormModel, modulates each candidate's activation
+  /// probability by its latent weather-front and regime factors, then runs
+  /// one rack-cascade propagation pass over the trigger events; a disabled
+  /// one (the default spec) yields the independent schedule.
   [[nodiscard]] static FaultSchedule generate(const FaultSpec& spec,
+                                              const CorrelationSpec& corr,
                                               Seconds horizon, Seconds epoch,
                                               int servers);
-
-  /// Correlation-aware entry point: realizes a StormModel from `corr` and
-  /// modulates each candidate's activation probability by its latent
-  /// weather-front and regime factors, then runs one rack-cascade
-  /// propagation pass over the trigger events. When `corr` is disabled
-  /// (the default spec) this is generate() bit for bit.
-  [[nodiscard]] static FaultSchedule generate_correlated(
-      const FaultSpec& spec, const CorrelationSpec& corr, Seconds horizon,
-      Seconds epoch, int servers);
 
   [[nodiscard]] const std::vector<FaultEvent>& events() const {
     return events_;
@@ -120,12 +116,12 @@ class FaultSchedule {
 
   [[nodiscard]] const FaultSpec& spec() const { return spec_; }
   /// The correlation knobs this schedule was realized under (disabled for
-  /// generate() / from_csv() schedules).
+  /// uncorrelated and from_csv() schedules).
   [[nodiscard]] const CorrelationSpec& correlation() const {
     return storm_.spec();
   }
-  /// The realized latent processes (inert unless generate_correlated ran
-  /// with an enabled spec).
+  /// The realized latent processes (inert unless generate() ran with an
+  /// enabled spec).
   [[nodiscard]] const StormModel& storm() const { return storm_; }
 
   // --- Checkpoint/restore (src/ckpt): binary round-trip of the spec, the

@@ -233,7 +233,6 @@ std::vector<BurstResult> run_sweep_checkpointed(
     const std::vector<Scenario>& scenarios, const SweepCheckpointOptions& opts,
     std::size_t threads, SweepCheckpointStats* stats) {
   GS_REQUIRE(!opts.dir.empty(), "checkpointed sweep needs a directory");
-  GS_REQUIRE(opts.every >= 1, "checkpoint interval must be >= 1");
   sweep_ckpt::ensure_manifest(opts.dir, scenarios, opts.resume);
 
   std::vector<BurstResult> results(scenarios.size());
@@ -266,9 +265,7 @@ std::vector<BurstResult> run_sweep_checkpointed(
           results[i] = run_burst(scenarios[i]);
           // Cells write to distinct paths and write_snapshot_file is
           // atomic (temp + rename), so workers need no coordination.
-          if (i % opts.every == 0) {
-            sweep_ckpt::write_cell(opts.dir, i, scenarios[i], results[i]);
-          }
+          sweep_ckpt::write_cell(opts.dir, i, scenarios[i], results[i]);
         } catch (...) {
           MutexLock lock(error_mu);
           if (!failed.exchange(true)) first_error = std::current_exception();

@@ -40,10 +40,6 @@ namespace gs::sim {
 struct SweepCheckpointOptions {
   std::string dir;    ///< Checkpoint directory (created if missing).
   bool resume = false;  ///< Load completed cells before running the rest.
-  /// Persist every Nth cell (by index). 1 = persist all completed cells;
-  /// larger values trade resume coverage for less checkpoint IO (skipped
-  /// cells are simply recomputed on resume).
-  std::size_t every = 1;
 };
 
 /// Telemetry from a checkpointed sweep (how much work the resume skipped).

@@ -5,14 +5,12 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <fcntl.h>
 #include <filesystem>
 #include <string>
 #include <sys/stat.h>
 #include <sys/types.h>
-#include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
 
@@ -157,67 +155,6 @@ SweepWorkerStats run_sweep_worker(const std::vector<Scenario>& scenarios,
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
   }
-}
-
-std::vector<BurstResult> run_sweep_multiprocess(
-    const std::vector<Scenario>& scenarios, const SweepMpOptions& opts,
-    SweepCheckpointStats* stats) {
-  GS_REQUIRE(!opts.dir.empty(), "multi-process sweep needs a directory");
-  GS_REQUIRE(opts.workers >= 1, "need at least one worker");
-  sweep_ckpt::ensure_manifest(opts.dir, scenarios, opts.resume);
-
-  // Cells already on disk before any worker starts are the true resumed
-  // set; everything the workers (or the merge) produce afterwards was
-  // computed by *this* invocation — the distinction the perf gate needs.
-  std::size_t preexisting = 0;
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    if (sweep_ckpt::cell_exists(opts.dir, i)) ++preexisting;
-  }
-
-  SweepWorkerOptions worker_opts;
-  worker_opts.dir = opts.dir;
-  worker_opts.stale_after_s = opts.stale_after_s;
-
-  std::vector<pid_t> children;
-  children.reserve(std::size_t(opts.workers));
-  for (int w = 0; w < opts.workers; ++w) {
-    const pid_t pid = ::fork();
-    GS_ENSURE(pid >= 0, "fork failed for sweep worker");
-    if (pid == 0) {
-      // Worker child: compute cells, then exit without running parent
-      // teardown (_exit skips atexit handlers and C++ destructors).
-      int rc = 0;
-      try {
-        (void)run_sweep_worker(scenarios, worker_opts);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "sweep worker %d: %s\n", int(::getpid()),
-                     e.what());
-        rc = 1;
-      } catch (...) {
-        rc = 1;
-      }
-      ::_exit(rc);
-    }
-    children.push_back(pid);
-  }
-  for (const pid_t pid : children) {
-    int status = 0;
-    // Crashed or killed workers are fine: survivors reclaim their stale
-    // leases, and whatever is still missing the merge recomputes inline.
-    (void)::waitpid(pid, &status, 0);
-  }
-
-  SweepCheckpointOptions merge;
-  merge.dir = opts.dir;
-  merge.resume = true;  // load every worker-produced cell, compute the rest
-  merge.every = 1;
-  auto results = run_sweep_checkpointed(scenarios, merge, /*threads=*/1,
-                                        stats);
-  if (stats != nullptr) {
-    stats->cells_resumed = preexisting;
-    stats->cells_run = scenarios.size() - preexisting;
-  }
-  return results;
 }
 
 }  // namespace gs::sim

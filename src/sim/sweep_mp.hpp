@@ -1,6 +1,8 @@
-// Multi-process sweep driver: several OS processes cooperatively work
-// through one checkpointed sweep directory with no shared memory and no
-// server — the filesystem is the coordinator.
+// Multi-process sweeps: several OS processes cooperatively work through
+// one checkpointed sweep directory with no shared memory and no server —
+// the filesystem is the coordinator. Each process runs run_sweep_worker;
+// once they are done, run_sweep_checkpointed with `resume` merges their
+// cells (computing inline any cell no worker produced).
 //
 // Protocol (per cell i of the manifest):
 //
@@ -57,26 +59,5 @@ struct SweepWorkerStats {
 /// processes.
 SweepWorkerStats run_sweep_worker(const std::vector<Scenario>& scenarios,
                                   const SweepWorkerOptions& opts);
-
-struct SweepMpOptions {
-  std::string dir;     ///< Checkpoint directory (created if missing).
-  int workers = 2;     ///< Forked worker processes.
-  double stale_after_s = 30.0;
-  /// Validate an existing manifest instead of rewriting it (same meaning
-  /// as SweepCheckpointOptions::resume).
-  bool resume = false;
-};
-
-/// Fork `workers` processes that cooperatively compute the sweep through
-/// run_sweep_worker, wait for them, then merge the cell snapshots into
-/// the result vector (recomputing inline any cell every worker failed to
-/// produce). The returned results — and hence sweep_fingerprint — are
-/// bit-identical to single-process run_sweep over the same scenarios.
-/// `stats` reports this invocation's work: cells_resumed = snapshots that
-/// existed before the workers started, cells_run = cells computed by this
-/// invocation (in a worker or inline by the merge).
-[[nodiscard]] std::vector<BurstResult> run_sweep_multiprocess(
-    const std::vector<Scenario>& scenarios, const SweepMpOptions& opts,
-    SweepCheckpointStats* stats = nullptr);
 
 }  // namespace gs::sim

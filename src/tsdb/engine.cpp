@@ -42,6 +42,64 @@ std::uint32_t parse_catalog_u32(std::string_view field,
 
 }  // namespace
 
+SeriesCatalog read_series_catalog(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    throw TsdbError("cannot open series catalog " + path.string());
+  }
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  const std::string blob = std::move(ss).str();
+  const std::string origin = path.string();
+  SeriesCatalog out;
+  std::map<CatalogIdent, SeriesId> ids;
+  std::size_t at = 0;
+  while (true) {
+    const std::size_t nl = blob.find('\n', at);
+    if (nl == std::string::npos) break;  // torn tail: kill mid-intern
+    const std::string_view line(blob.data() + at, nl - at);
+    at = nl + 1;
+    const std::size_t a = line.find('\t');
+    const std::size_t b = a == std::string_view::npos
+                              ? std::string_view::npos
+                              : line.find('\t', a + 1);
+    const std::size_t c = b == std::string_view::npos
+                              ? std::string_view::npos
+                              : line.find('\t', b + 1);
+    if (c == std::string_view::npos || c + 1 >= line.size()) {
+      throw TsdbError("malformed series catalog line in " + origin);
+    }
+    const std::uint32_t id = parse_catalog_u32(line.substr(0, a), origin);
+    const std::uint32_t rack =
+        parse_catalog_u32(line.substr(a + 1, b - a - 1), origin);
+    const std::uint32_t server =
+        parse_catalog_u32(line.substr(b + 1, c - b - 1), origin);
+    const std::string_view metric = line.substr(c + 1);
+    CatalogIdent ident{std::string(metric), rack, server};
+    if (id < out.entries.size()) {
+      // A crash-resumed writer that restored a snapshot older than the
+      // catalog used to re-append registrations it had forgotten. Such a
+      // line exactly restates an existing entry and is harmless; anything
+      // else claiming a used id is corruption.
+      const auto prior = ids.find(ident);
+      if (prior != ids.end() && prior->second == id) continue;
+      throw TsdbError("series catalog conflict in " + origin + ": id " +
+                      std::to_string(id) +
+                      " re-registered with a different identity");
+    }
+    if (id != out.entries.size()) {
+      throw TsdbError("series catalog out of order in " + origin +
+                      ": line claims id " + std::to_string(id) +
+                      ", expected " + std::to_string(out.entries.size()));
+    }
+    ids.emplace(ident, SeriesId(id));
+    out.entries.push_back(std::move(ident));
+  }
+  out.complete_bytes = at;
+  out.torn_tail = at < blob.size();
+  return out;
+}
+
 Cursor::Cursor(std::vector<Part> parts, Timestamp lo, Timestamp hi)
     : parts_(std::move(parts)), lo_(lo), hi_(hi) {}
 
@@ -70,9 +128,7 @@ std::uint64_t Cursor::chunk_samples() const {
   return total;
 }
 
-Engine::Engine(EngineOptions opts)
-    : opts_(std::move(opts)),
-      cache_(std::max<std::size_t>(std::size_t{1}, opts_.cache_chunks)) {
+Engine::Engine(EngineOptions opts) : opts_(std::move(opts)) {
   GS_REQUIRE(opts_.chunk_capacity >= 2,
              "tsdb chunk capacity must hold at least two samples");
   const bool needs_dir = opts_.strategy != Strategy::MEMORY;
@@ -90,64 +146,21 @@ Engine::Engine(EngineOptions opts)
 void Engine::replay_existing() {
   const std::filesystem::path cat = opts_.dir / kCatalogFile;
   if (std::filesystem::exists(cat)) {
-    std::ifstream in(cat, std::ios::binary);
-    if (!in) {
-      throw TsdbError("cannot open series catalog " + cat.string());
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string blob = std::move(ss).str();
-    std::size_t at = 0;
-    while (true) {
-      const std::size_t nl = blob.find('\n', at);
-      if (nl == std::string::npos) break;  // torn tail: kill mid-intern
-      const std::string_view line(blob.data() + at, nl - at);
-      at = nl + 1;
-      const std::size_t a = line.find('\t');
-      const std::size_t b = a == std::string_view::npos
-                                ? std::string_view::npos
-                                : line.find('\t', a + 1);
-      const std::size_t c = b == std::string_view::npos
-                                ? std::string_view::npos
-                                : line.find('\t', b + 1);
-      if (c == std::string_view::npos || c + 1 >= line.size()) {
-        throw TsdbError("malformed series catalog line in " + cat.string());
-      }
-      const std::uint32_t id =
-          parse_catalog_u32(line.substr(0, a), cat.string());
-      const std::uint32_t rack =
-          parse_catalog_u32(line.substr(a + 1, b - a - 1), cat.string());
-      const std::uint32_t server =
-          parse_catalog_u32(line.substr(b + 1, c - b - 1), cat.string());
-      const std::string_view metric = line.substr(c + 1);
-      const auto ident = std::make_tuple(std::string(metric), rack, server);
-      if (id < series_.size()) {
-        // A crash-resumed writer that restored a snapshot older than the
-        // catalog used to re-append registrations it had forgotten. Such a
-        // line exactly restates an existing entry and is harmless; anything
-        // else claiming a used id is corruption.
-        const auto prior = catalog_ids_.find(ident);
-        if (prior != catalog_ids_.end() && prior->second == id) continue;
-        throw TsdbError("series catalog conflict in " + cat.string() +
-                        ": id " + std::to_string(id) +
-                        " re-registered with a different identity");
-      }
-      if (id != series_.size()) {
-        throw TsdbError("series catalog out of order in " + cat.string() +
-                        ": line claims id " + std::to_string(id) +
-                        ", expected " + std::to_string(series_.size()));
-      }
+    const SeriesCatalog catalog = read_series_catalog(cat);
+    for (const CatalogIdent& ident : catalog.entries) {
+      const auto& [metric, rack, server] = ident;
+      const auto id = SeriesId(series_.size());
       const SeriesKey key{metrics_.intern(metric), rack, server};
-      index_.emplace(key, SeriesId(series_.size()));
-      catalog_ids_.emplace(ident, SeriesId(series_.size()));
-      series_.emplace_back(key, SeriesId(series_.size()));
+      index_.emplace(key, id);
+      catalog_ids_.emplace(ident, id);
+      series_.emplace_back(key, id);
     }
     // A torn final line (kill mid-intern) must be truncated away while it
     // is still final: the next registration appends right after it, and a
     // fragment glued to a fresh line would read as garbage on the replay
     // after the *next* kill.
-    if (at < blob.size()) {
-      std::filesystem::resize_file(cat, at);
+    if (catalog.torn_tail) {
+      std::filesystem::resize_file(cat, catalog.complete_bytes);
     }
   }
   // Repair a torn final segment while it is still final: the writer this
@@ -244,8 +257,7 @@ void Engine::append_at(SeriesId id, Timestamp t, double value) {
 
 void Engine::seal_if_full(SeriesStore& store) {
   if (store.open_count() < opts_.chunk_capacity) return;
-  if (opts_.strategy == Strategy::COMPRESSED ||
-      opts_.strategy == Strategy::CACHE) {
+  if (opts_.strategy == Strategy::COMPRESSED) {
     store.seal_spilled(opts_.dir);
   } else {
     store.seal_resident();
@@ -254,13 +266,6 @@ void Engine::seal_if_full(SeriesStore& store) {
 
 PageLoader Engine::loader() {
   const std::filesystem::path dir = opts_.dir;
-  if (opts_.strategy == Strategy::CACHE) {
-    auto* cache = &cache_;
-    return [dir, cache](const ChunkRef& ref) {
-      return cache->get_or_create(
-          ref.cache_key, [&] { return read_page_file(dir / ref.file); });
-    };
-  }
   auto* reads = &page_reads_;
   return [dir, reads](const ChunkRef& ref) {
     ++*reads;  // called inside collect(), under the engine mutex
@@ -305,8 +310,7 @@ void Engine::seal_all() {
   MutexLock lock(mu_);
   for (SeriesStore& store : series_) {
     if (store.open_count() == 0) continue;
-    if (opts_.strategy == Strategy::COMPRESSED ||
-        opts_.strategy == Strategy::CACHE) {
+    if (opts_.strategy == Strategy::COMPRESSED) {
       store.seal_spilled(opts_.dir);
     } else {
       store.seal_resident();
@@ -352,9 +356,6 @@ EngineStats Engine::stats() const {
   }
   s.wal_records = replayed_records_ + (wal_ ? wal_->records() : 0);
   s.page_reads = page_reads_;
-  const CacheStats cs = cache_.stats();
-  s.cache_hits = cs.hits;
-  s.cache_misses = cs.misses;
   return s;
 }
 
@@ -397,7 +398,6 @@ void Engine::load_state(ckpt::StateReader& r) {
   // file, which a snapshot restore cannot un-write. Series registered
   // after the snapshot re-register through it on replay without appending
   // duplicate lines.
-  cache_.clear();  // cached pages may predate the restored manifest
   const auto n = std::size_t(r.u64());
   series_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -1,6 +1,6 @@
 // The telemetry engine facade. One Engine owns every series of a
 // simulation campaign; EngineOptions::strategy picks how sealed history is
-// held (see strategy.hpp for the four strategies). The write path is
+// held (see strategy.hpp for the three strategies). The write path is
 // append-only per series; the read path is a range query that prunes whole
 // chunks on their time bounds before decoding a single sample.
 //
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "ckpt/fwd.hpp"
-#include "common/keyed_cache.hpp"
 #include "common/thread_annotations.hpp"
 #include "tsdb/store.hpp"
 #include "tsdb/strategy.hpp"
@@ -40,13 +39,10 @@ namespace gs::tsdb {
 
 struct EngineOptions {
   Strategy strategy = Strategy::MEMORY;
-  /// Storage directory; required for WAL / COMPRESSED / CACHE, ignored for
-  /// MEMORY.
+  /// Storage directory; required for WAL / COMPRESSED, ignored for MEMORY.
   std::filesystem::path dir;
   /// Samples per chunk before it seals (and, per strategy, spills).
   std::uint64_t chunk_capacity = 1024;
-  /// LRU entries for Strategy::CACHE page reads.
-  std::size_t cache_chunks = 64;
   /// WAL segment rotation threshold, bytes.
   std::uint64_t wal_segment_bytes = std::uint64_t(1) << 20;
 };
@@ -58,10 +54,24 @@ struct EngineStats {
   std::uint64_t spilled_chunks = 0;
   std::uint64_t open_samples = 0;
   std::uint64_t wal_records = 0;     ///< replayed + written this process
-  std::uint64_t page_reads = 0;      ///< spilled pages read back (uncached)
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
+  std::uint64_t page_reads = 0;      ///< spilled pages read back
 };
+
+/// A series' identity in the WAL strategy's catalog: (metric, rack, server).
+using CatalogIdent = std::tuple<std::string, std::uint32_t, std::uint32_t>;
+
+struct SeriesCatalog {
+  std::vector<CatalogIdent> entries;  ///< entries[id]
+  std::size_t complete_bytes = 0;     ///< length of the complete lines
+  bool torn_tail = false;  ///< a torn final line (kill mid-registration)
+};
+
+/// Read a series catalog (`id \t rack \t server \t metric` lines) as WAL
+/// replay does, skipping lines that restate an earlier registration.
+/// Throws TsdbError when the file cannot be read, on a malformed line, an
+/// id out of order, or an id re-registered with a different identity.
+[[nodiscard]] SeriesCatalog read_series_catalog(
+    const std::filesystem::path& path);
 
 struct SeriesInfo {
   SeriesId id = 0;
@@ -179,15 +189,11 @@ class Engine {
   /// file instead of appending duplicate lines that would poison the next
   /// replay. Keyed by name (not interned id) because load_state replaces
   /// the interner.
-  std::map<std::tuple<std::string, std::uint32_t, std::uint32_t>, SeriesId>
-      catalog_ids_ GS_GUARDED_BY(mu_);
+  std::map<CatalogIdent, SeriesId> catalog_ids_ GS_GUARDED_BY(mu_);
   std::optional<WalWriter> wal_ GS_GUARDED_BY(mu_);
   std::uint64_t replayed_records_ GS_GUARDED_BY(mu_) = 0;
   std::uint64_t appends_ GS_GUARDED_BY(mu_) = 0;
   std::uint64_t page_reads_ GS_GUARDED_BY(mu_) = 0;
-
-  // Internally synchronized; shared by concurrent queries.
-  KeyedCache<std::uint64_t, SealedChunk> cache_;
 };
 
 }  // namespace gs::tsdb

@@ -34,7 +34,7 @@ std::string page_filename(SeriesId id, std::uint64_t seq) {
 /// mid-spill leaves either the complete page or no page at all. The temp
 /// name is io::atomic_write_file's <path>.tmp-p<pid>.<n>, unique per
 /// process and call.
-/// Failpoint site on every COMPRESSED/CACHE spill-page commit.
+/// Failpoint site on every COMPRESSED spill-page commit.
 constexpr const char* kFailpointPageWrite = "tsdb.page.write";
 
 void write_page_file(const std::filesystem::path& path,

@@ -3,9 +3,8 @@
 // A reference is either *resident* (the compressed payload lives in
 // memory — MEMORY and WAL strategies) or *spilled* (the payload was
 // written to a checksummed on-disk page with the ckpt tmp+rename
-// discipline and evicted — COMPRESSED and CACHE strategies). Queries
-// materialize the chunks they need through a PageLoader the Engine
-// supplies, which is where the CACHE strategy inserts its LRU.
+// discipline and evicted — the COMPRESSED strategy). Queries materialize
+// the chunks they need through a PageLoader the Engine supplies.
 #pragma once
 
 #include <filesystem>
@@ -35,8 +34,8 @@ struct ChunkRef {
   }
 };
 
-/// Materializes a spilled ref (direct page read, or LRU-cached read for
-/// Strategy::CACHE). Never called for resident refs.
+/// Materializes a spilled ref by reading its page file. Never called for
+/// resident refs.
 using PageLoader =
     std::function<std::shared_ptr<const SealedChunk>(const ChunkRef&)>;
 

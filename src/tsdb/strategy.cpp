@@ -14,12 +14,10 @@ constexpr std::array<const char*, kNumStrategies> kNames = {
     "MEMORY",
     "WAL",
     "COMPRESSED",
-    "CACHE",
 };
 static_assert(std::size_t(Strategy::MEMORY) == 0);
 static_assert(std::size_t(Strategy::WAL) == 1);
 static_assert(std::size_t(Strategy::COMPRESSED) == 2);
-static_assert(std::size_t(Strategy::CACHE) == 3);
 
 }  // namespace
 

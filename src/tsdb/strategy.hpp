@@ -7,8 +7,6 @@
 //               campaign loses at most the unflushed tail of one record.
 //   COMPRESSED  sealed chunks spill to checksummed on-disk pages and are
 //               evicted from memory; queries read pages back on demand.
-//   CACHE       COMPRESSED with an LRU cache of recently-read pages, for
-//               query-heavy consumers (dashboards, repeated exports).
 #pragma once
 
 #include <cstdint>
@@ -22,15 +20,14 @@ enum class Strategy : std::uint8_t {
   MEMORY,
   WAL,
   COMPRESSED,
-  CACHE,
 };
 
-inline constexpr std::uint8_t kNumStrategies = 4;
+inline constexpr std::uint8_t kNumStrategies = 3;
 
 [[nodiscard]] const char* to_string(Strategy s);
 
 /// Parse a (case-insensitive) strategy name; throws TsdbError on anything
-/// that is not MEMORY / WAL / COMPRESSED / CACHE.
+/// that is not MEMORY / WAL / COMPRESSED.
 [[nodiscard]] Strategy strategy_from_string(std::string_view token);
 
 /// Stream codec, so strategies round-trip through CLI flags and config

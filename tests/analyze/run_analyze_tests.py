@@ -6,7 +6,9 @@ Three layers, all ctest-registered (see tests/CMakeLists.txt):
 1. Fixture suite: tests/analyze/fixtures/<rule>/{pass,fail} are miniature
    source trees; the engine must report zero findings OF THAT RULE on the
    pass tree and at least one on the fail tree. Other rules' findings are
-   ignored (a fixture isolates one rule, not the whole gate). Several pass
+   ignored (a fixture isolates one rule, not the whole gate). Every rule
+   in engine.ALL_RULES has a fixture directory, every fixture directory
+   names a rule, and every rule has a --list-rules summary. Several pass
    fixtures double as lexer regression tests: they plant rule patterns
    inside string literals, raw strings and comments — the false-positive
    class the legacy regex pack suffered from.
@@ -35,7 +37,7 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 sys.path.insert(0, str(REPO / "tools"))
 
-from analyze import engine  # noqa: E402
+from analyze import cli, engine  # noqa: E402
 
 _failures: list[str] = []
 
@@ -50,7 +52,17 @@ def check(ok: bool, what: str) -> None:
 def run_fixtures() -> None:
     print("== fixture suite")
     cases = sorted(p for p in FIXTURES.iterdir() if p.is_dir())
-    check(len(cases) >= 20, f"fixture coverage: {len(cases)} rules")
+    rules = set(engine.ALL_RULES)
+    fixtures = {p.name for p in cases}
+    check(not rules - fixtures,
+          f"every rule has a fixture (missing: {sorted(rules - fixtures)})")
+    check(not fixtures - rules,
+          f"every fixture names a rule (unknown: {sorted(fixtures - rules)})")
+    summaries = set(cli._RULE_SUMMARIES)
+    check(summaries == rules,
+          "every rule has one --list-rules summary (missing: "
+          f"{sorted(rules - summaries)}, unknown: "
+          f"{sorted(summaries - rules)})")
     for rule_dir in cases:
         rule = rule_dir.name
         for kind, expect in (("pass", False), ("fail", True)):

@@ -297,26 +297,6 @@ TEST_F(CheckpointedSweep, PartialAndCorruptCellsAreRecomputed) {
   EXPECT_EQ(stats.cells_run, 2u);
 }
 
-TEST_F(CheckpointedSweep, EveryThrottleSkipsPersistenceNotResults) {
-  const auto grid = small_grid();
-  SweepCheckpointOptions opts;
-  opts.dir = dir_.string();
-  opts.every = 3;  // persist cells 0 and 3 only
-  const auto results = run_sweep_checkpointed(grid, opts);
-
-  std::size_t persisted = 0;
-  for (const auto& e : fs::directory_iterator(dir_)) {
-    if (e.path().extension() == ".gsck") ++persisted;
-  }
-  EXPECT_EQ(persisted, 2u);
-
-  opts.resume = true;
-  SweepCheckpointStats stats;
-  const auto resumed = run_sweep_checkpointed(grid, opts, 0, &stats);
-  EXPECT_EQ(sweep_fingerprint(resumed), sweep_fingerprint(results));
-  EXPECT_EQ(stats.cells_resumed, 2u);
-}
-
 TEST_F(CheckpointedSweep, ResumingADifferentCampaignThrows) {
   const auto grid = small_grid();
   SweepCheckpointOptions opts;

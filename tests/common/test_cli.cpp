@@ -89,5 +89,21 @@ TEST(Cli, EmptyOptionNameThrows) {
   EXPECT_THROW(parse({"--"}), ContractError);
 }
 
+TEST(Cli, ValidateAcceptsOnlyDeclaredKeysInTheirForm) {
+  const std::set<std::string> values = {"days", "dir"};
+  const std::set<std::string> flags = {"batch"};
+  EXPECT_NO_THROW(parse({"--batch", "--days", "2", "--dir=d"})
+                      .validate(values, flags));
+  EXPECT_NO_THROW(parse({}).validate(values, flags));
+  // A typo, a positional argument, a value key given bare, a flag given
+  // a value (`--batch 2` binds 2 to --batch).
+  EXPECT_THROW(parse({"--dayz", "2"}).validate(values, flags), UsageError);
+  EXPECT_THROW(parse({"extra", "--batch"}).validate(values, flags),
+               UsageError);
+  EXPECT_THROW(parse({"--days"}).validate(values, flags), UsageError);
+  EXPECT_THROW(parse({"--batch", "2"}).validate(values, flags), UsageError);
+  EXPECT_THROW(parse({"--batch=yes"}).validate(values, flags), UsageError);
+}
+
 }  // namespace
 }  // namespace gs

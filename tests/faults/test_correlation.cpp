@@ -1,6 +1,7 @@
 // Correlated fault storms (faults/correlation): spec parsing, latent-model
-// properties, the disabled-is-identity guarantee, cascade propagation
-// bounds, determinism across thread counts, and checkpoint round-trips.
+// properties, cascade propagation bounds, determinism across thread
+// counts, and checkpoint round-trips. (That a disabled spec yields the
+// independent schedule is pinned in test_fault_schedule.cpp.)
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -125,19 +126,10 @@ TEST(StormModel, RegimeWindowsClusterActivations) {
   EXPECT_DOUBLE_EQ(model.regime_factor(outside), corr.regime_damp);
 }
 
-TEST(GenerateCorrelated, DisabledSpecIsBitIdenticalToGenerate) {
-  const auto spec = FaultSpec::uniform(0.4, 123);
-  const auto plain = FaultSchedule::generate(spec, kHorizon, kEpoch, 3);
-  const auto corr = FaultSchedule::generate_correlated(
-      spec, CorrelationSpec{}, kHorizon, kEpoch, 3);
-  EXPECT_TRUE(events_identical(plain, corr));
-  EXPECT_FALSE(corr.correlation().enabled());
-}
-
 TEST(GenerateCorrelated, ZeroFaultSpecStaysEmpty) {
   // Correlation modulates intensities; it cannot conjure faults from a
   // zero spec.
-  const auto s = FaultSchedule::generate_correlated(
+  const auto s = FaultSchedule::generate(
       FaultSpec{}, storm_spec(), kHorizon, kEpoch, 3);
   EXPECT_TRUE(s.empty());
 }
@@ -148,9 +140,9 @@ TEST(GenerateCorrelated, FrontsOnlyAddEventsNeverRemove) {
   // activation still fires, tagged Independent; the extras are Storm.
   const auto spec = FaultSpec::uniform(0.3, 31);
   const auto corr = CorrelationSpec::parse("storm=0.9,front_boost=4");
-  const auto plain = FaultSchedule::generate(spec, kHorizon, kEpoch, 3);
+  const auto plain = FaultSchedule::generate(spec, {}, kHorizon, kEpoch, 3);
   const auto storm =
-      FaultSchedule::generate_correlated(spec, corr, kHorizon, kEpoch, 3);
+      FaultSchedule::generate(spec, corr, kHorizon, kEpoch, 3);
   EXPECT_GE(storm.events().size(), plain.events().size());
   std::size_t independent = 0, storm_origin = 0;
   for (const auto& ev : storm.events()) {
@@ -177,7 +169,7 @@ TEST(GenerateCorrelated, CascadesRespectTopologyAndWindow) {
   const auto corr = CorrelationSpec::parse("cascade=1,cascade_window=3,rack=4");
   const int servers = 8;
   const auto s =
-      FaultSchedule::generate_correlated(spec, corr, kHorizon, kEpoch, servers);
+      FaultSchedule::generate(spec, corr, kHorizon, kEpoch, servers);
   std::vector<FaultEvent> triggers, cascades;
   for (const auto& ev : s.events()) {
     if (ev.origin == FaultOrigin::Cascade) {
@@ -219,14 +211,14 @@ TEST(GenerateCorrelated, DeterministicAcrossThreadCounts) {
   const auto spec = FaultSpec::uniform(0.4, 77);
   const auto corr = storm_spec();
   const auto reference =
-      FaultSchedule::generate_correlated(spec, corr, kHorizon, kEpoch, 8);
+      FaultSchedule::generate(spec, corr, kHorizon, kEpoch, 8);
   for (const std::size_t threads : {1ul, 4ul}) {
     ThreadPool pool(threads);
     constexpr std::size_t kRuns = 12;
     std::vector<FaultSchedule> out(kRuns);
     parallel_for(pool, kRuns, [&](std::size_t i) {
       out[i] =
-          FaultSchedule::generate_correlated(spec, corr, kHorizon, kEpoch, 8);
+          FaultSchedule::generate(spec, corr, kHorizon, kEpoch, 8);
     });
     for (const auto& s : out) {
       ASSERT_TRUE(events_identical(reference, s));
@@ -236,8 +228,8 @@ TEST(GenerateCorrelated, DeterministicAcrossThreadCounts) {
 
 TEST(GenerateCorrelated, CsvRoundTripPreservesOrigins) {
   const auto spec = FaultSpec::uniform(0.5, 77);
-  const auto s = FaultSchedule::generate_correlated(spec, storm_spec(),
-                                                    kHorizon, kEpoch, 8);
+  const auto s =
+      FaultSchedule::generate(spec, storm_spec(), kHorizon, kEpoch, 8);
   ASSERT_FALSE(s.empty());
   const auto back = FaultSchedule::from_csv(s.to_csv());
   ASSERT_EQ(back.events().size(), s.events().size());
@@ -262,7 +254,7 @@ TEST(GenerateCorrelated, CorrelatedActiveSkipsIndependentEvents) {
   const auto spec = FaultSpec::uniform(0.4, 31);
   const auto corr = CorrelationSpec::parse("storm=0.9,front_boost=4");
   const auto s =
-      FaultSchedule::generate_correlated(spec, corr, kHorizon, kEpoch, 3);
+      FaultSchedule::generate(spec, corr, kHorizon, kEpoch, 3);
   for (const auto& ev : s.events()) {
     const Seconds mid = ev.start + ev.duration * 0.5;
     if (ev.origin != FaultOrigin::Independent) {
@@ -271,7 +263,7 @@ TEST(GenerateCorrelated, CorrelatedActiveSkipsIndependentEvents) {
     EXPECT_TRUE(s.active(ev.cls, mid, ev.target));
   }
   // A schedule with no correlated events reports none.
-  const auto plain = FaultSchedule::generate(spec, kHorizon, kEpoch, 3);
+  const auto plain = FaultSchedule::generate(spec, {}, kHorizon, kEpoch, 3);
   for (const auto& ev : plain.events()) {
     EXPECT_FALSE(
         plain.correlated_active(ev.cls, ev.start + ev.duration * 0.5,
@@ -308,7 +300,7 @@ TEST(StormModelCkpt, RoundTripIsBitExact) {
 
 TEST(ScheduleCkpt, CorrelatedScheduleRoundTripsWithStorm) {
   const auto spec = FaultSpec::uniform(0.5, 13);
-  const auto original = FaultSchedule::generate_correlated(
+  const auto original = FaultSchedule::generate(
       spec, storm_spec(), kHorizon, kEpoch, 8);
   ASSERT_FALSE(original.empty());
   ckpt::StateWriter w;

@@ -1,6 +1,7 @@
-// Multi-process sweep driver (sim/sweep_mp.hpp): lease claiming, stale
-// lease takeover, worker SIGKILL mid-cell, and — above all — merge
-// fingerprints bit-identical to single-process run_sweep.
+// Multi-process sweeps (sim/sweep_mp.hpp): lease claiming, stale lease
+// takeover, worker SIGKILL mid-cell, and — above all — forked workers plus
+// a resume merge giving fingerprints bit-identical to single-process
+// run_sweep.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -57,19 +58,60 @@ void write_lease(const std::string& dir, std::size_t i, long pid) {
   os << pid << "\n";
 }
 
+/// Fork `workers` run_sweep_worker processes over `dir`, the way several
+/// `gs_sweep --worker` runs share one directory, and wait for them. Each
+/// child reports the cells it computed in its exit status; returns their
+/// sum. That can exceed the cell count: a worker that claims a cell just
+/// after another released it computes the cell again (to identical bytes).
+std::size_t run_forked_workers(const std::vector<Scenario>& grid,
+                               const std::string& dir, int workers) {
+  std::vector<pid_t> children;
+  for (int w = 0; w < workers; ++w) {
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      int rc = 255;
+      try {
+        SweepWorkerOptions opts;
+        opts.dir = dir;
+        rc = int(run_sweep_worker(grid, opts).cells_run);
+      } catch (...) {
+      }
+      ::_exit(rc);
+    }
+    EXPECT_GE(pid, 0) << "fork failed";
+    if (pid > 0) children.push_back(pid);
+  }
+  std::size_t cells_run = 0;
+  for (const pid_t pid : children) {
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) != 255)
+        << "sweep worker " << pid << " failed";
+    if (WIFEXITED(status)) cells_run += std::size_t(WEXITSTATUS(status));
+  }
+  return cells_run;
+}
+
+/// The merge step (`gs_sweep --resume`): load every cell the workers
+/// wrote, compute any that is missing.
+std::vector<BurstResult> merge_cells(const std::vector<Scenario>& grid,
+                                     const std::string& dir,
+                                     SweepCheckpointStats* stats = nullptr) {
+  return run_sweep_checkpointed(grid, {dir, /*resume=*/true}, 1, stats);
+}
+
 TEST_F(SweepMpTest, MultiprocessMergeBitIdenticalToSingleProcess) {
   const auto grid = small_grid();
   const std::uint64_t fp_ref = sweep_fingerprint(run_sweep(grid, 1));
 
-  SweepMpOptions opts;
-  opts.dir = dir_;
-  opts.workers = 2;
+  // Fresh directory: the workers compute every cell, the merge none.
+  EXPECT_GE(run_forked_workers(grid, dir_, 2), grid.size());
   SweepCheckpointStats stats;
-  const auto results = run_sweep_multiprocess(grid, opts, &stats);
+  const auto results = merge_cells(grid, dir_, &stats);
   EXPECT_EQ(sweep_fingerprint(results), fp_ref);
   EXPECT_EQ(stats.cells_total, grid.size());
-  EXPECT_EQ(stats.cells_resumed, 0u);  // fresh directory: all computed now
-  EXPECT_EQ(stats.cells_run, grid.size());
+  EXPECT_EQ(stats.cells_resumed, grid.size());  // all from the workers
+  EXPECT_EQ(stats.cells_run, 0u);
   // Clean finish leaves snapshots but no leases behind.
   for (const auto& entry : fs::directory_iterator(dir_)) {
     EXPECT_NE(entry.path().extension(), ".lease")
@@ -89,9 +131,8 @@ TEST_F(SweepMpTest, SingleWorkerProcessesWholeCampaign) {
     EXPECT_TRUE(sweep_ckpt::cell_exists(dir_, i)) << "missing cell " << i;
   }
   // The worker-produced cells merge to the single-process fingerprint.
-  SweepCheckpointOptions merge{dir_, /*resume=*/true, /*every=*/1};
-  const auto merged = run_sweep_checkpointed(grid, merge, 1);
-  EXPECT_EQ(sweep_fingerprint(merged), sweep_fingerprint(run_sweep(grid, 1)));
+  EXPECT_EQ(sweep_fingerprint(merge_cells(grid, dir_)),
+            sweep_fingerprint(run_sweep(grid, 1)));
 }
 
 TEST_F(SweepMpTest, StaleLeaseOfDeadOwnerIsTakenOver) {
@@ -109,8 +150,7 @@ TEST_F(SweepMpTest, StaleLeaseOfDeadOwnerIsTakenOver) {
   const auto stats = run_sweep_worker(grid, opts);
   EXPECT_EQ(stats.cells_run, grid.size());
   EXPECT_EQ(stats.leases_taken_over, 2u);
-  SweepCheckpointOptions merge{dir_, /*resume=*/true, /*every=*/1};
-  EXPECT_EQ(sweep_fingerprint(run_sweep_checkpointed(grid, merge, 1)),
+  EXPECT_EQ(sweep_fingerprint(merge_cells(grid, dir_)),
             sweep_fingerprint(run_sweep(grid, 1)));
 }
 
@@ -166,21 +206,19 @@ TEST_F(SweepMpTest, WorkerSigkilledMidCellIsRecovered) {
   for (std::size_t i = 0; i < grid.size(); ++i) {
     EXPECT_TRUE(sweep_ckpt::cell_exists(dir_, i)) << "missing cell " << i;
   }
-  SweepCheckpointOptions merge{dir_, /*resume=*/true, /*every=*/1};
-  EXPECT_EQ(sweep_fingerprint(run_sweep_checkpointed(grid, merge, 1)),
+  EXPECT_EQ(sweep_fingerprint(merge_cells(grid, dir_)),
             sweep_fingerprint(run_sweep(grid, 1)));
 }
 
 TEST_F(SweepMpTest, SecondMultiprocessRunResumesEverything) {
   const auto grid = small_grid();
-  SweepMpOptions opts;
-  opts.dir = dir_;
-  opts.workers = 2;
-  (void)run_sweep_multiprocess(grid, opts);
+  (void)run_forked_workers(grid, dir_, 2);
+  (void)merge_cells(grid, dir_);
 
-  opts.resume = true;
+  // Every cell is on disk: the second round computes nothing.
+  EXPECT_EQ(run_forked_workers(grid, dir_, 2), 0u);
   SweepCheckpointStats stats;
-  const auto results = run_sweep_multiprocess(grid, opts, &stats);
+  const auto results = merge_cells(grid, dir_, &stats);
   EXPECT_EQ(stats.cells_resumed, grid.size());
   EXPECT_EQ(stats.cells_run, 0u);
   EXPECT_EQ(sweep_fingerprint(results), sweep_fingerprint(run_sweep(grid, 1)));
@@ -188,26 +226,23 @@ TEST_F(SweepMpTest, SecondMultiprocessRunResumesEverything) {
 
 TEST_F(SweepMpTest, ManifestMismatchThrows) {
   const auto grid = small_grid();
-  SweepMpOptions opts;
-  opts.dir = dir_;
-  opts.workers = 1;
-  (void)run_sweep_multiprocess(grid, opts);
+  (void)run_forked_workers(grid, dir_, 1);
+  (void)merge_cells(grid, dir_);
 
   auto other = grid;
   other[0].seed += 17;  // different campaign, same cell count
-  opts.resume = true;
-  EXPECT_THROW((void)run_sweep_multiprocess(other, opts),
-               ckpt::SnapshotError);
+  SweepWorkerOptions opts;
+  opts.dir = dir_;
+  EXPECT_THROW((void)run_sweep_worker(other, opts), ckpt::SnapshotError);
+  EXPECT_THROW((void)merge_cells(other, dir_), ckpt::SnapshotError);
 }
 
 TEST_F(SweepMpTest, StormGridMergesBitIdentically) {
   auto grid = small_grid();
   add_storms(grid);
   const std::uint64_t fp_ref = sweep_fingerprint(run_sweep(grid, 1));
-  SweepMpOptions opts;
-  opts.dir = dir_;
-  opts.workers = 2;
-  EXPECT_EQ(sweep_fingerprint(run_sweep_multiprocess(grid, opts)), fp_ref);
+  EXPECT_GE(run_forked_workers(grid, dir_, 2), grid.size());
+  EXPECT_EQ(sweep_fingerprint(merge_cells(grid, dir_)), fp_ref);
 }
 
 }  // namespace

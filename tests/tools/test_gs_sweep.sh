@@ -46,8 +46,17 @@ expect_line "^gs_sweep: cells=8 resumed=0 run=8 fp=$SMOKE_FP\$" \
     --smoke --dir "$WORK/single"
 expect_line "^gs_sweep: cells=8 resumed=8 run=0 fp=$SMOKE_FP\$" \
     --smoke --dir "$WORK/single" --resume
-expect_line "^gs_sweep: cells=8 resumed=0 run=8 fp=$STORM_FP\$" \
-    --smoke --storm --workers 2 --dir "$WORK/mp"
+# Two concurrent workers share one directory; a --resume run merges them.
+"$BIN" --smoke --storm --worker --dir "$WORK/mp" > /dev/null &
+w1=$!
+"$BIN" --smoke --storm --worker --dir "$WORK/mp" > /dev/null &
+w2=$!
+if ! wait "$w1" || ! wait "$w2"; then
+  echo "FAIL: a concurrent gs_sweep --worker exited nonzero"
+  failures=$((failures + 1))
+fi
+expect_line "^gs_sweep: cells=8 resumed=8 run=0 fp=$STORM_FP\$" \
+    --smoke --storm --dir "$WORK/mp" --resume
 expect_line '^gs_sweep: cells=8 run=8 stale_leases_taken=0$' \
     --smoke --worker --dir "$WORK/worker"
 expect_line "^gs_sweep: cells=8 resumed=8 run=0 fp=$SMOKE_FP\$" \
@@ -59,13 +68,11 @@ expect_usage --dir "$U" --cells abc
 expect_usage --dir "$U" --cells 12abc
 expect_usage --dir "$U" --cells 0
 expect_usage --dir "$U" --cells -4
-expect_usage --dir "$U" --workers abc
-expect_usage --dir "$U" --workers 0
+expect_usage --dir "$U" --workers 2
 expect_usage --dir "$U" --worker --stale-after abc
 expect_usage --dir "$U" --worker --stale-after 0
 expect_usage --dir "$U" --worker --stale-after -1
-expect_usage --dir "$U" --checkpoint-every 2.5
-expect_usage --dir "$U" --checkpoint-every 0
+expect_usage --dir "$U" --checkpoint-every 2
 expect_usage --dir "$U" --failpoints 'ckpt.snapshot.write=off' --failpoint-seed x
 expect_usage --dir "$U" --failpoint-seed 3
 expect_usage --dir "$U" --failpoints 'no.such=warp'
@@ -76,11 +83,7 @@ expect_usage extra --dir "$U"
 expect_usage --dir "$U" --smoke=1
 expect_usage --dir "$U" --cells
 expect_usage --dir "$U" --stale-after 5
-expect_usage --dir "$U" --workers 2 --checkpoint-every 2
-expect_usage --dir "$U" --workers 2 --stale-after 5
-expect_usage --dir "$U" --worker --workers 2
 expect_usage --dir "$U" --worker --resume
-expect_usage --dir "$U" --worker --checkpoint-every 2
 if [ -e "$U" ]; then
   echo "FAIL: a refused command line created $U"
   failures=$((failures + 1))

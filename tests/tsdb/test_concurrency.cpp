@@ -37,8 +37,7 @@ class TsdbConcurrency : public ::testing::TestWithParam<Strategy> {};
 
 INSTANTIATE_TEST_SUITE_P(Tsdb, TsdbConcurrency,
                          ::testing::Values(Strategy::MEMORY, Strategy::WAL,
-                                           Strategy::COMPRESSED,
-                                           Strategy::CACHE),
+                                           Strategy::COMPRESSED),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });
@@ -50,7 +49,6 @@ TEST_P(TsdbConcurrency, ConcurrentIngestKeepsEverySample) {
   opts.strategy = GetParam();
   opts.dir = dir;
   opts.chunk_capacity = 32;  // frequent seals: exercise spill paths
-  opts.cache_chunks = 8;
   Engine engine(opts);
 
   constexpr std::size_t kWorkers = 8;

@@ -39,7 +39,6 @@ EngineOptions options(Strategy s, const fs::path& dir,
   opts.strategy = s;
   opts.dir = dir;
   opts.chunk_capacity = chunk_capacity;
-  opts.cache_chunks = 4;
   return opts;
 }
 
@@ -60,7 +59,7 @@ void ingest_grid(Engine& engine, std::uint64_t samples_per_series) {
 }
 
 /// The scan grid: 16 metrics x 8 servers on rack 0, 1024 one-minute
-/// samples per series, in chunks of 512 with a 32-page cache.
+/// samples per series, in chunks of 512.
 constexpr std::uint32_t kScanMetrics = 16;
 constexpr std::uint32_t kScanServers = 8;
 constexpr std::uint64_t kScanSamples = 1024;
@@ -82,7 +81,6 @@ EngineOptions scan_options(Strategy s, const fs::path& dir) {
   opts.strategy = s;
   opts.dir = dir;
   opts.chunk_capacity = 512;
-  opts.cache_chunks = 32;
   return opts;
 }
 
@@ -114,8 +112,7 @@ class EngineAllStrategies : public ::testing::TestWithParam<Strategy> {};
 
 INSTANTIATE_TEST_SUITE_P(Tsdb, EngineAllStrategies,
                          ::testing::Values(Strategy::MEMORY, Strategy::WAL,
-                                           Strategy::COMPRESSED,
-                                           Strategy::CACHE),
+                                           Strategy::COMPRESSED),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });
@@ -198,7 +195,7 @@ TEST_P(EngineAllStrategies, StateRoundTripIsExact) {
 
 TEST_P(EngineAllStrategies, FullScanOfEveryMetricReturnsEveryRow) {
   // Two full-range passes over every metric (all servers per cursor) after
-  // seal_all; the second pass is the one CACHE could serve from memory.
+  // seal_all; under COMPRESSED the second pass reads every page again.
   // Rows come grouped by server and time-ordered within each, each with
   // the value that was appended.
   const auto dir = fresh_dir(std::string("scan_") + to_string(GetParam()));
@@ -293,25 +290,9 @@ TEST(Engine, CompressedStrategySpillsSealedChunks) {
     if (e.path().extension() == ".gspage") ++pages;
   }
   EXPECT_EQ(pages, stats.spilled_chunks);
-  // Reads go through the loader (counted), not a cache.
+  // Reads go through the loader (counted).
   (void)drain(engine.query("power_w", 1));
   EXPECT_GT(engine.stats().page_reads, 0u);
-}
-
-TEST(Engine, CacheStrategyHitsOnRepeatedQueries) {
-  const auto dir = fresh_dir("cache_hits");
-  auto opts = options(Strategy::CACHE, dir);
-  opts.cache_chunks = 64;  // larger than the spilled working set
-  Engine engine(opts);
-  ingest_grid(engine, 100);
-  engine.seal_all();
-  (void)drain(engine.query("power_w", 1));
-  const auto cold = engine.stats();
-  EXPECT_GT(cold.cache_misses, 0u);
-  (void)drain(engine.query("power_w", 1));
-  const auto warm = engine.stats();
-  EXPECT_GT(warm.cache_hits, 0u);
-  EXPECT_EQ(warm.cache_misses, cold.cache_misses);
 }
 
 TEST(Engine, WalRecoversAfterKill) {
@@ -575,6 +556,27 @@ TEST(Engine, LoadStateRejectsStrategyMismatch) {
   Engine other(options(Strategy::COMPRESSED, dir));
   ckpt::StateReader r(w.buffer());
   EXPECT_THROW(other.load_state(r), TsdbError);
+}
+
+TEST(Engine, LoadStateRejectsUnknownStrategyCode) {
+  // Snapshots from builds with a fourth strategy may record code 3. It
+  // names nothing, so the snapshot is refused before any series is read.
+  ckpt::StateWriter w;
+  w.begin_section("tsdb_engine", Engine::kStateVersion);
+  w.u8(3);
+  w.u64(16);
+  w.end_section();
+
+  Engine engine(options(Strategy::COMPRESSED, fresh_dir("load_code3")));
+  ckpt::StateReader r(w.buffer());
+  try {
+    engine.load_state(r);
+    ADD_FAILURE() << "strategy code 3 was accepted";
+  } catch (const TsdbError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown strategy code 3"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Engine, LoadStateRejectsChunkCapacityMismatch) {

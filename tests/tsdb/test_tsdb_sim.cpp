@@ -105,9 +105,8 @@ TEST(TsdbSim, EngineCsvIsByteIdenticalUnderFaultsAndFlags) {
 TEST(TsdbSim, ByteIdenticalAcrossEveryStorageStrategy) {
   const auto r_ref = run_burst(small_scenario());
   const std::string expected = legacy_csv(r_ref);
-  for (const tsdb::Strategy s :
-       {tsdb::Strategy::MEMORY, tsdb::Strategy::WAL,
-        tsdb::Strategy::COMPRESSED, tsdb::Strategy::CACHE}) {
+  for (const tsdb::Strategy s : {tsdb::Strategy::MEMORY, tsdb::Strategy::WAL,
+                                 tsdb::Strategy::COMPRESSED}) {
     tsdb::EngineOptions opts;
     opts.strategy = s;
     opts.dir = fresh_dir(std::string("csv_") + tsdb::to_string(s));

@@ -23,8 +23,6 @@ _RULE_SUMMARIES = {
     "raw-random": "non-gs randomness only in common/rng.hpp",
     "wall-clock": "no wall-clock time in simulation code",
     "use-gs-assert": "GS_REQUIRE/GS_ENSURE instead of assert()",
-    "correlated-faults":
-        "FaultSchedule::generate_correlated over generate()",
     "mutex-annotations":
         "every gs::Mutex member referenced by a GS_* annotation",
     "ckpt-schema-version":
@@ -42,6 +40,8 @@ _RULE_SUMMARIES = {
         "tools/ckpt_schema.lock out of date; regenerate with --write-lock",
     "ckpt-save-load-mismatch":
         "save_state and load_state agree on every section's byte layout",
+    "durable-io-failpoint":
+        "raw fsync/rename in gs:durable-io files keeps a failpoint in view",
     "fingerprint-coverage":
         "every scenario-shaping field reaches scenario_fingerprint()",
     "lock-order-cycle": "the static mutex acquisition graph is acyclic",

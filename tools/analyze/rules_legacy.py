@@ -20,7 +20,6 @@ LEGACY_RULES = (
     "raw-random",
     "wall-clock",
     "use-gs-assert",
-    "correlated-faults",
     "mutex-annotations",
     "ckpt-schema-version",
     "tsdb-chunk-version",
@@ -70,15 +69,6 @@ _WALL_CLOCK_MSG = (
 _USE_GS_ASSERT_MSG = (
     "<cassert>/assert() in src/; use GS_REQUIRE / GS_ENSURE from "
     "common/assert.hpp (throws gs::ContractError, active in release)"
-)
-
-_CORRELATED_FAULTS_MSG = (
-    "direct FaultSchedule::generate() bypasses the correlation-aware "
-    "entry point; call FaultSchedule::generate_correlated (a disabled "
-    "CorrelationSpec is the identity)"
-)
-_CORRELATED_FAULTS_EXEMPT = (
-    "faults/fault_schedule.hpp", "faults/fault_schedule.cpp",
 )
 
 _TSDB_MARKERS = frozenset({
@@ -173,15 +163,6 @@ def _lint_file(project: Project, sf: SourceFile, report: Report) -> None:
                 and nxt.text == "(" and \
                 (prv is None or prv.text not in (".", "->", "::")):
             _emit(report, sf, "use-gs-assert", t.line, _USE_GS_ASSERT_MSG)
-
-        # FaultSchedule::generate(
-        if t.text == "FaultSchedule" and nxt is not None and \
-                nxt.text == "::" and i + 3 < n and \
-                toks[i + 2].text == "generate" and \
-                toks[i + 3].text == "(" and \
-                _applies(rel, _CORRELATED_FAULTS_EXEMPT):
-            _emit(report, sf, "correlated-faults", t.line,
-                  _CORRELATED_FAULTS_MSG)
 
         # File-level bookkeeping for ckpt-schema-version /
         # tsdb-chunk-version.

@@ -7,7 +7,7 @@
 // Serve:  greensprintd --socket /tmp/gs.sock [--tcp PORT] [--sim-speed X]
 //           [--stall-grace EPOCHS] [--checkpoint PATH]
 //           [--checkpoint-every N] [--checkpoint-keep K] [--resume PATH]
-//           [--tsdb memory|wal|compressed|cache] [--tsdb-dir DIR]
+//           [--tsdb memory|wal|compressed] [--tsdb-dir DIR]
 //           [--queue-cap N] [--failpoints SPEC] [--failpoint-seed N]
 //           [scenario flags]
 // Batch:  greensprintd --batch [scenario flags]
@@ -17,10 +17,12 @@
 // SIGTERM/SIGINT write to a self-pipe wired into DaemonConfig::stop_fd:
 // the daemon drains its queue, flushes telemetry, writes the final
 // checkpoint, and exits 0. A later --resume continues bit-identically.
+//
+// Exit status: 0 done, 1 the campaign or daemon failed, 2 bad usage.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
+#include <set>
 #include <string>
 
 #include <unistd.h>
@@ -33,6 +35,8 @@
 
 namespace {
 
+using namespace gs;
+
 int g_stop_pipe[2] = {-1, -1};
 
 void on_signal(int) {
@@ -40,46 +44,46 @@ void on_signal(int) {
   [[maybe_unused]] const ssize_t n = ::write(g_stop_pipe[1], &byte, 1);
 }
 
-}  // namespace
+void print_usage() {
+  std::fprintf(stderr,
+               "usage: greensprintd --socket PATH [--tcp PORT] "
+               "[--sim-speed X] [--stall-grace EPOCHS]\n  [--checkpoint PATH] "
+               "[--checkpoint-every N] [--checkpoint-keep K] "
+               "[--resume PATH]\n  "
+               "[--tsdb memory|wal|compressed] [--tsdb-dir DIR] "
+               "[--queue-cap N]\n  [--failpoints SPEC] "
+               "[--failpoint-seed N]\n  %s\n"
+               "   or: greensprintd --batch [scenario flags]\n",
+               tools::kScenarioUsage);
+}
 
-int main(int argc, char** argv) {
-  using namespace gs;
-  const CliArgs args(argc, argv);
-  if (args.has("failpoints")) {
-    try {
-      failpoint::configure(
-          args.get("failpoints", std::string()),
-          std::uint64_t(args.get("failpoint-seed", 0)));
-    } catch (const failpoint::SpecError& e) {
-      std::fprintf(stderr, "greensprintd: --failpoints: %s\n", e.what());
-      return 2;
-    }
-  }
-  const sim::DayRunConfig day = tools::scenario_from_cli(args);
-
-  if (args.flag("batch")) {
-    const sim::DayRunResult res = sim::run_days(day);
-    std::printf("batch fp %llx bursts %d\n",
-                (unsigned long long)sim::day_result_fingerprint(res),
-                res.bursts_served);
-    return 0;
-  }
-
+struct Options {
+  bool batch = false;
   serve::DaemonConfig cfg;
-  cfg.day = day;
+};
+
+/// Parse and validate the whole command line (and arm --failpoints).
+/// Every exception it throws is a usage error.
+Options parse(int argc, char** argv) {
+  const CliArgs args(argc, argv);
+  std::set<std::string> value_keys = {
+      "socket", "tcp", "sim-speed", "stall-grace", "checkpoint",
+      "checkpoint-every", "checkpoint-keep", "resume", "queue-cap", "tsdb",
+      "tsdb-dir", "failpoints", "failpoint-seed"};
+  value_keys.insert(tools::kScenarioKeys.begin(), tools::kScenarioKeys.end());
+  args.validate(value_keys, {"batch"});
+
+  if (args.has("failpoints")) {
+    failpoint::configure(args.get("failpoints", std::string()),
+                         std::uint64_t(args.get("failpoint-seed", 0)));
+  }
+  Options o;
+  o.batch = args.flag("batch");
+  serve::DaemonConfig& cfg = o.cfg;
+  cfg.day = tools::scenario_from_cli(args);
   cfg.socket_path = args.get("socket", std::string());
-  if (cfg.socket_path.empty()) {
-    std::fprintf(stderr,
-                 "usage: %s --socket PATH [--tcp PORT] [--sim-speed X] "
-                 "[--stall-grace EPOCHS]\n  [--checkpoint PATH] "
-                 "[--checkpoint-every N] [--checkpoint-keep K] "
-                 "[--resume PATH]\n  "
-                 "[--tsdb memory|wal|compressed|cache] [--tsdb-dir DIR] "
-                 "[--queue-cap N]\n  [--failpoints SPEC] "
-                 "[--failpoint-seed N]\n  %s\n"
-                 "   or: %s --batch [scenario flags]\n",
-                 argv[0], tools::kScenarioUsage, argv[0]);
-    return 2;
+  if (!o.batch && cfg.socket_path.empty()) {
+    throw UsageError("--socket is required");
   }
   cfg.tcp_port = args.get("tcp", 0);
   cfg.sim_speed = args.get("sim-speed", 0.0);
@@ -96,24 +100,45 @@ int main(int argc, char** argv) {
   cfg.tsdb.strategy = tsdb::strategy_from_string(tsdb_name);
   cfg.tsdb.dir = args.get("tsdb-dir", std::string());
   if (cfg.tsdb.strategy != tsdb::Strategy::MEMORY && cfg.tsdb.dir.empty()) {
-    std::fprintf(stderr, "--tsdb %s needs --tsdb-dir\n", tsdb_name.c_str());
+    throw UsageError("--tsdb " + tsdb_name + " needs --tsdb-dir");
+  }
+  return o;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options o;
+  try {
+    o = parse(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "greensprintd: %s\n", e.what());
+    print_usage();
     return 2;
   }
 
-  if (::pipe(g_stop_pipe) != 0) {
-    std::perror("pipe");
-    return 1;
-  }
-  cfg.stop_fd = g_stop_pipe[0];
-  std::signal(SIGTERM, on_signal);
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGPIPE, SIG_IGN);
-
+  serve::DaemonConfig& cfg = o.cfg;
   try {
+    if (o.batch) {
+      const sim::DayRunResult res = sim::run_days(cfg.day);
+      std::printf("batch fp %llx bursts %d\n",
+                  (unsigned long long)sim::day_result_fingerprint(res),
+                  res.bursts_served);
+      return 0;
+    }
+    if (::pipe(g_stop_pipe) != 0) {
+      std::perror("pipe");
+      return 1;
+    }
+    cfg.stop_fd = g_stop_pipe[0];
+    std::signal(SIGTERM, on_signal);
+    std::signal(SIGINT, on_signal);
+    std::signal(SIGPIPE, SIG_IGN);
+
     const bool resumed = !cfg.resume_from.empty();
+    const std::string socket_path = cfg.socket_path;
     serve::ServeDaemon daemon(std::move(cfg));
-    std::printf("greensprintd: serving %s%s\n",
-                args.get("socket", std::string()).c_str(),
+    std::printf("greensprintd: serving %s%s\n", socket_path.c_str(),
                 resumed ? " (resumed)" : "");
     std::fflush(stdout);
     const serve::DaemonReport rep = daemon.run();

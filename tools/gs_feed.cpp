@@ -27,8 +27,8 @@
 // seeded jitter (--retry-seed), so callers can launch the daemon and the
 // client concurrently without racing the socket bind.
 //
-// Exit codes: 0 ok, 2 usage, 3 connection lost mid-replay (daemon died),
-// 4 --wait-epoch timed out.
+// Exit codes: 0 ok, 2 usage (a bad option or operand), 3 connection lost
+// mid-replay (daemon died), 4 --wait-epoch timed out.
 #include <unistd.h>
 
 #include <cerrno>
@@ -39,6 +39,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,13 +53,102 @@ namespace {
 
 using namespace gs;
 
-int connect_with_retry(const CliArgs& args, const std::string& path) {
+void print_usage() {
+  std::fprintf(stderr,
+               "usage: gs_feed --gen --trace FILE [scenario flags]\n"
+               "   or: gs_feed --play --trace FILE --socket PATH "
+               "[--until EPOCH]\n        [--strategy-at EPOCH:NAME] "
+               "[--fault-at EPOCH:SPEC] [--stat-at EPOCH] [--drain]\n"
+               "   or: gs_feed --stat --socket PATH\n"
+               "   or: gs_feed --wait-epoch N --socket PATH [--timeout S]\n"
+               "connecting modes also take [--retry-seed N]\n"
+               "scenario flags: %s\n",
+               tools::kScenarioUsage);
+}
+
+/// "EPOCH:REST" hook argument.
+struct Hook {
+  std::uint64_t epoch = 0;
+  std::string rest;
+};
+
+/// The --`key` hook, nullopt when absent. `form` is EPOCH or EPOCH:WHAT;
+/// throws UsageError on an operand of another form.
+std::optional<Hook> parse_hook(const CliArgs& args, const char* key,
+                               const std::string& form) {
+  if (!args.has(key)) return std::nullopt;
+  const std::string s = args.get(key, std::string());
+  const auto colon = s.find(':');
+  const auto epoch = serve::parse_u64(s.substr(0, colon));
+  const bool with_rest = form.find(':') != std::string::npos;
+  if (!epoch || (with_rest && colon == std::string::npos)) {
+    throw UsageError(std::string("--") + key + " wants " + form);
+  }
+  Hook h;
+  h.epoch = *epoch;
+  if (colon != std::string::npos) h.rest = s.substr(colon + 1);
+  return h;
+}
+
+enum class Mode { Gen, Play, Stat, WaitEpoch };
+
+struct Options {
+  Mode mode = Mode::Gen;
+  std::string trace;
+  std::string socket;
+  std::uint64_t retry_seed = 0;
+  std::vector<sim::LiveEpoch> plan;  ///< --gen
+  std::uint64_t until = ~std::uint64_t(0);
+  std::optional<Hook> strategy_at, fault_at, stat_at;
+  bool drain = false;
+  std::uint64_t wait_epoch = 0;
+  double timeout_s = 30.0;
+};
+
+/// Parse and validate the whole command line. Every exception it throws
+/// is a usage error.
+Options parse(int argc, char** argv) {
+  const CliArgs args(argc, argv);
+  std::set<std::string> value_keys = {
+      "trace", "socket", "retry-seed", "until", "strategy-at", "fault-at",
+      "stat-at", "wait-epoch", "timeout"};
+  value_keys.insert(tools::kScenarioKeys.begin(), tools::kScenarioKeys.end());
+  args.validate(value_keys, {"gen", "play", "stat", "drain"});
+
+  Options o;
+  o.trace = args.get("trace", std::string());
+  o.socket = args.get("socket", std::string());
+  if (args.flag("stat") || args.has("wait-epoch")) {
+    o.mode = args.flag("stat") ? Mode::Stat : Mode::WaitEpoch;
+  } else if (o.trace.empty() || (!args.flag("gen") && !args.flag("play"))) {
+    throw UsageError("--gen or --play needs --trace");
+  } else {
+    o.mode = args.flag("gen") ? Mode::Gen : Mode::Play;
+  }
+  if (o.mode != Mode::Gen && o.socket.empty()) {
+    throw UsageError("--play, --stat and --wait-epoch need --socket");
+  }
+  o.retry_seed = std::uint64_t(args.get("retry-seed", 0));
+  const sim::DayRunConfig day = tools::scenario_from_cli(args);
+  // A campaign the simulator refuses (--days 0) is a bad operand too.
+  if (o.mode == Mode::Gen) o.plan = sim::day_feed_plan(day);
+  if (args.has("until")) o.until = std::uint64_t(args.get("until", 0));
+  o.strategy_at = parse_hook(args, "strategy-at", "EPOCH:NAME");
+  o.fault_at = parse_hook(args, "fault-at", "EPOCH:SPEC");
+  o.stat_at = parse_hook(args, "stat-at", "EPOCH");
+  o.drain = args.flag("drain");
+  o.wait_epoch = std::uint64_t(args.get("wait-epoch", 0));
+  o.timeout_s = args.get("timeout", o.timeout_s);
+  return o;
+}
+
+int connect_with_retry(const Options& o) {
   serve::ConnectRetryOptions opts;
-  opts.seed = std::uint64_t(args.get("retry-seed", 0));
-  const int fd = serve::connect_unix_retry(path, opts);
+  opts.seed = o.retry_seed;
+  const int fd = serve::connect_unix_retry(o.socket, opts);
   if (fd < 0) {
-    std::fprintf(stderr, "gs_feed: cannot connect %s: %s\n", path.c_str(),
-                 std::strerror(errno));
+    std::fprintf(stderr, "gs_feed: cannot connect %s: %s\n",
+                 o.socket.c_str(), std::strerror(errno));
   }
   return fd;
 }
@@ -94,34 +184,15 @@ std::optional<std::string> read_frame(int fd, serve::FrameDecoder& dec) {
   }
 }
 
-/// "EPOCH:REST" hook argument.
-struct Hook {
-  std::uint64_t epoch = 0;
-  std::string rest;
-};
-
-std::optional<Hook> parse_hook(const std::string& s, bool with_rest) {
-  const auto colon = s.find(':');
-  if (with_rest && colon == std::string::npos) return std::nullopt;
-  const std::string head = s.substr(0, colon);
-  const auto epoch = serve::parse_u64(head);
-  if (!epoch) return std::nullopt;
-  Hook h;
-  h.epoch = *epoch;
-  if (colon != std::string::npos) h.rest = s.substr(colon + 1);
-  return h;
-}
-
-int generate(const CliArgs& args, const std::string& trace_path) {
-  const sim::DayRunConfig cfg = tools::scenario_from_cli(args);
-  const std::vector<sim::LiveEpoch> plan = sim::day_feed_plan(cfg);
+int generate(const Options& o) {
+  const std::string& trace_path = o.trace;
   std::ofstream out(trace_path, std::ios::trunc);
   if (!out) {
     std::fprintf(stderr, "gs_feed: cannot write %s\n", trace_path.c_str());
     return 1;
   }
   std::uint64_t seq = 0;
-  for (const sim::LiveEpoch& e : plan) {
+  for (const sim::LiveEpoch& e : o.plan) {
     serve::FeedEvent ev;
     ev.seq = seq++;
     ev.lambda = e.lambda;
@@ -140,45 +211,13 @@ int generate(const CliArgs& args, const std::string& trace_path) {
   return 0;
 }
 
-int play(const CliArgs& args, const std::string& trace_path) {
-  const std::string socket_path = args.get("socket", std::string());
-  if (socket_path.empty()) {
-    std::fprintf(stderr, "gs_feed: --play needs --socket\n");
-    return 2;
-  }
-  std::ifstream in(trace_path);
+int play(const Options& o) {
+  std::ifstream in(o.trace);
   if (!in) {
-    std::fprintf(stderr, "gs_feed: cannot read %s\n", trace_path.c_str());
+    std::fprintf(stderr, "gs_feed: cannot read %s\n", o.trace.c_str());
     return 2;
   }
-  std::optional<Hook> strategy_at, fault_at, stat_at;
-  if (args.has("strategy-at")) {
-    strategy_at = parse_hook(args.get("strategy-at", std::string()), true);
-    if (!strategy_at) {
-      std::fprintf(stderr, "gs_feed: --strategy-at wants EPOCH:NAME\n");
-      return 2;
-    }
-  }
-  if (args.has("fault-at")) {
-    fault_at = parse_hook(args.get("fault-at", std::string()), true);
-    if (!fault_at) {
-      std::fprintf(stderr, "gs_feed: --fault-at wants EPOCH:SPEC\n");
-      return 2;
-    }
-  }
-  if (args.has("stat-at")) {
-    stat_at = parse_hook(args.get("stat-at", std::string()), false);
-    if (!stat_at) {
-      std::fprintf(stderr, "gs_feed: --stat-at wants EPOCH\n");
-      return 2;
-    }
-  }
-  const std::uint64_t until =
-      args.has("until")
-          ? std::uint64_t(args.get("until", 0))
-          : ~std::uint64_t(0);
-
-  const int fd = connect_with_retry(args, socket_path);
+  const int fd = connect_with_retry(o);
   if (fd < 0) return 3;
   serve::FrameDecoder dec;
   if (!send_all(fd, serve::encode_frame("hello " + serve::protocol_id()))) {
@@ -218,7 +257,7 @@ int play(const CliArgs& args, const std::string& trace_path) {
       return 2;
     }
     const std::uint64_t seq = out.request->feed.seq;
-    if (seq >= until) break;
+    if (seq >= o.until) break;
     if (seq < resume_epoch) continue;  // daemon already consumed it
     const auto hook = [&](const std::optional<Hook>& h, const char* verb,
                           bool wait_reply) -> bool {
@@ -233,9 +272,9 @@ int play(const CliArgs& args, const std::string& trace_path) {
       }
       return true;
     };
-    if (!hook(strategy_at, "strategy", true) ||
-        !hook(fault_at, "fault-inject", true) ||
-        !hook(stat_at, "stat", true)) {
+    if (!hook(o.strategy_at, "strategy", true) ||
+        !hook(o.fault_at, "fault-inject", true) ||
+        !hook(o.stat_at, "stat", true)) {
       lost = true;
       break;
     }
@@ -253,7 +292,7 @@ int play(const CliArgs& args, const std::string& trace_path) {
   }
   std::printf("gs_feed: sent %llu events\n", (unsigned long long)sent);
 
-  if (args.flag("drain")) {
+  if (o.drain) {
     if (!send_all(fd, serve::encode_frame("drain"))) {
       ::close(fd);
       return 3;
@@ -274,9 +313,8 @@ int play(const CliArgs& args, const std::string& trace_path) {
 }
 
 /// Connect + hello handshake for the polling modes; -1 on failure.
-int open_session(const CliArgs& args, const std::string& socket_path,
-                 serve::FrameDecoder& dec) {
-  const int fd = connect_with_retry(args, socket_path);
+int open_session(const Options& o, serve::FrameDecoder& dec) {
+  const int fd = connect_with_retry(o);
   if (fd < 0) return -1;
   if (!send_all(fd, serve::encode_frame("hello " + serve::protocol_id()))) {
     ::close(fd);
@@ -303,9 +341,9 @@ std::optional<std::uint64_t> stat_field(const std::string& reply,
   return serve::parse_u64(reply.substr(start, end - start));
 }
 
-int stat_once(const CliArgs& args, const std::string& socket_path) {
+int stat_once(const Options& o) {
   serve::FrameDecoder dec;
-  const int fd = open_session(args, socket_path, dec);
+  const int fd = open_session(o, dec);
   if (fd < 0) return 3;
   int rc = 3;
   if (send_all(fd, serve::encode_frame("stat"))) {
@@ -321,14 +359,13 @@ int stat_once(const CliArgs& args, const std::string& socket_path) {
 
 /// Poll stat until the daemon's next epoch reaches `target` (or the
 /// campaign completes — a finished daemon never advances further).
-int wait_epoch(const CliArgs& args, const std::string& socket_path) {
-  const auto target = std::uint64_t(args.get("wait-epoch", 0));
-  const double timeout_s = args.get("timeout", 30.0);
+int wait_epoch(const Options& o) {
+  const std::uint64_t target = o.wait_epoch;
   serve::FrameDecoder dec;
-  const int fd = open_session(args, socket_path, dec);
+  const int fd = open_session(o, dec);
   if (fd < 0) return 3;
   const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeout_s);
+                        std::chrono::duration<double>(o.timeout_s);
   for (;;) {
     if (!send_all(fd, serve::encode_frame("stat"))) break;
     const auto reply = read_frame(fd, dec);
@@ -360,29 +397,19 @@ int wait_epoch(const CliArgs& args, const std::string& socket_path) {
 
 int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
-  const CliArgs args(argc, argv);
-  const std::string trace = args.get("trace", std::string());
-  const std::string socket_path = args.get("socket", std::string());
-  if (args.flag("stat") || args.has("wait-epoch")) {
-    if (socket_path.empty()) {
-      std::fprintf(stderr, "gs_feed: --stat/--wait-epoch need --socket\n");
-      return 2;
-    }
-    return args.flag("stat") ? stat_once(args, socket_path)
-                             : wait_epoch(args, socket_path);
-  }
-  if (trace.empty() || (!args.flag("gen") && !args.flag("play"))) {
-    std::fprintf(stderr,
-                 "usage: %s --gen --trace FILE [scenario flags]\n"
-                 "   or: %s --play --trace FILE --socket PATH "
-                 "[--until EPOCH]\n        [--strategy-at EPOCH:NAME] "
-                 "[--fault-at EPOCH:SPEC] [--stat-at EPOCH] [--drain]\n"
-                 "   or: %s --stat --socket PATH\n"
-                 "   or: %s --wait-epoch N --socket PATH [--timeout S]\n"
-                 "scenario flags: %s\n",
-                 argv[0], argv[0], argv[0], argv[0],
-                 gs::tools::kScenarioUsage);
+  Options o;
+  try {
+    o = parse(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "gs_feed: %s\n", e.what());
+    print_usage();
     return 2;
   }
-  return args.flag("gen") ? generate(args, trace) : play(args, trace);
+  switch (o.mode) {
+    case Mode::Gen: return generate(o);
+    case Mode::Play: return play(o);
+    case Mode::Stat: return stat_once(o);
+    case Mode::WaitEpoch: return wait_epoch(o);
+  }
+  return 2;
 }

@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <string>
@@ -34,6 +33,8 @@
 
 #include "ckpt/rotation.hpp"
 #include "ckpt/snapshot.hpp"
+#include "tsdb/engine.hpp"
+#include "tsdb/error.hpp"
 #include "tsdb/store.hpp"
 #include "tsdb/wal.hpp"
 
@@ -208,36 +209,18 @@ Finding check_catalog(const fs::path& p) {
   Finding f;
   f.path = p.string();
   f.kind = "series-catalog";
-  std::ifstream in(p, std::ios::binary);
-  if (!in) {
+  try {
+    // The reader WAL replay uses: what it refuses, replay refuses.
+    if (tsdb::read_series_catalog(p).torn_tail) {
+      // Unterminated tail: the engine's replay truncates it away.
+      f.verdict = Verdict::Salvageable;
+      f.detail = "torn unterminated tail line; replay repairs it";
+    }
+  } catch (const tsdb::TsdbError& e) {
     f.verdict = Verdict::Corrupt;
-    f.detail = "cannot open";
-    return f;
+    f.detail = e.what();
   }
-  std::string blob((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  std::size_t at = 0;
-  while (true) {
-    const std::size_t nl = blob.find('\n', at);
-    if (nl == std::string::npos) {
-      if (at < blob.size()) {
-        // Unterminated tail: the engine's replay truncates it away.
-        f.verdict = Verdict::Salvageable;
-        f.detail = "torn unterminated tail line; replay repairs it";
-      }
-      return f;
-    }
-    const std::string_view line(blob.data() + at, nl - at);
-    at = nl + 1;
-    // id \t rack \t server \t metric
-    std::size_t tabs = 0;
-    for (const char c : line) tabs += (c == '\t') ? 1u : 0u;
-    if (tabs != 3 || line.empty() || line.back() == '\t') {
-      f.verdict = Verdict::Corrupt;
-      f.detail = "malformed complete catalog line";
-      return f;
-    }
-  }
+  return f;
 }
 
 Finding check_page(const fs::path& p) {

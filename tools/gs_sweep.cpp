@@ -1,15 +1,13 @@
 // gs_sweep: run the fixed sweep grid (sim/sweep_grid.hpp) as a
-// checkpointed campaign, through one of the three entry points in src/sim.
+// checkpointed campaign, through one of the two entry points in src/sim.
 //
-//   gs_sweep --dir D [grid] [--resume] [--checkpoint-every N]
+//   gs_sweep --dir D [grid] [--resume]
 //       one process (run_sweep_checkpointed): every completed cell lands
 //       in D as a cell snapshot; --resume loads them and runs the rest.
-//   gs_sweep --dir D [grid] --workers N [--resume]
-//       N forked workers share D through lease files, then this process
-//       merges their cells (run_sweep_multiprocess).
 //   gs_sweep --dir D [grid] --worker [--stale-after S]
 //       one cooperative worker (run_sweep_worker); any number of them may
-//       share D, and a later `gs_sweep --dir D [grid] --resume` merges.
+//       share D through lease files, and a later
+//       `gs_sweep --dir D [grid] --resume` merges their cells.
 //
 // Grid flags: --smoke (the 8-cell grid), --cells N (replicate to exactly
 // N cells), --storm (correlated fault storms on every cell), and
@@ -21,8 +19,6 @@
 // failpoint crashed the process (failpoint::kCrashExitCode); 2 bad usage.
 #include <cstdio>
 #include <exception>
-#include <stdexcept>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -38,80 +34,38 @@ using namespace gs;
 constexpr const char* kUsage =
     "usage: gs_sweep --dir DIR [--smoke] [--cells N] [--storm]\n"
     "                [--failpoints SPEC] [--failpoint-seed N] MODE\n"
-    "  MODE (default):  [--resume] [--checkpoint-every N]\n"
-    "       --workers N [--resume]\n"
+    "  MODE (default):  [--resume]\n"
     "       --worker    [--stale-after SECONDS]\n";
 
-/// A command line gs_sweep refuses.
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-enum class Mode { Single, Workers, Worker };
-
 struct Options {
-  Mode mode = Mode::Single;
+  bool worker = false;
   std::string dir;
   bool resume = false;
-  int workers = 0;
   double stale_after_s = 0.0;
-  std::size_t every = 1;
   std::vector<sim::Scenario> grid;
 };
-
-int at_least_one(const CliArgs& args, const std::string& key) {
-  const int v = args.get(key, 1);
-  if (v < 1) throw UsageError("--" + key + " must be at least 1");
-  return v;
-}
 
 /// Parse and validate the whole command line (and arm --failpoints).
 /// Every exception it throws is a usage error: UsageError, ContractError
 /// (a malformed number) or failpoint::SpecError.
 Options parse(int argc, char** argv) {
-  const std::set<std::string> value_keys = {
-      "dir",     "cells",       "failpoints", "failpoint-seed",
-      "workers", "stale-after", "checkpoint-every"};
-  const std::set<std::string> flag_keys = {"smoke", "storm", "resume",
-                                           "worker"};
   const CliArgs args(argc, argv);
-  if (!args.positional().empty()) {
-    throw UsageError("unexpected argument '" + args.positional()[0] + "'");
-  }
-  for (const std::string& key : args.keys()) {
-    const bool takes_value = value_keys.count(key) > 0;
-    if (!takes_value && flag_keys.count(key) == 0) {
-      throw UsageError("unknown option --" + key);
-    }
-    if (takes_value != args.value(key).has_value()) {
-      throw UsageError("--" + key +
-                       (takes_value ? " needs a value" : " takes no value"));
-    }
-  }
+  args.validate({"dir", "cells", "failpoints", "failpoint-seed",
+                 "stale-after"},
+                {"smoke", "storm", "resume", "worker"});
 
   Options o;
-  o.mode = args.flag("worker")   ? Mode::Worker
-           : args.has("workers") ? Mode::Workers
-                                 : Mode::Single;
-  const char* mode_name = o.mode == Mode::Worker    ? "--worker"
-                          : o.mode == Mode::Workers ? "--workers"
-                                                    : "the default mode";
-  const auto only_in = [&](const char* key, bool allowed) {
-    if (!allowed && args.has(key)) {
-      throw UsageError(std::string("--") + key + " does not apply to " +
-                       mode_name);
-    }
-  };
-  only_in("workers", o.mode != Mode::Worker);
-  only_in("resume", o.mode != Mode::Worker);
-  only_in("checkpoint-every", o.mode == Mode::Single);
-  only_in("stale-after", o.mode == Mode::Worker);
+  o.worker = args.flag("worker");
+  if (o.worker && args.has("resume")) {
+    throw UsageError("--resume does not apply to --worker");
+  }
+  if (!o.worker && args.has("stale-after")) {
+    throw UsageError("--stale-after applies to --worker only");
+  }
 
   o.dir = args.get("dir", std::string());
   if (o.dir.empty()) throw UsageError("--dir is required");
   o.resume = args.flag("resume");
-  if (o.mode == Mode::Workers) o.workers = at_least_one(args, "workers");
-  o.every = std::size_t(at_least_one(args, "checkpoint-every"));
   o.stale_after_s =
       args.get("stale-after", sim::SweepWorkerOptions{}.stale_after_s);
   if (!(o.stale_after_s > 0.0)) {
@@ -131,8 +85,9 @@ Options parse(int argc, char** argv) {
 
   o.grid = sim::perf_grid(args.flag("smoke"));
   if (args.has("cells")) {
-    o.grid = sim::replicate_grid(o.grid,
-                                 std::size_t(at_least_one(args, "cells")));
+    const int cells = args.get("cells", 1);
+    if (cells < 1) throw UsageError("--cells must be at least 1");
+    o.grid = sim::replicate_grid(o.grid, std::size_t(cells));
   }
   if (args.flag("storm")) sim::add_storms(o.grid);
   return o;
@@ -150,7 +105,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (o.mode == Mode::Worker) {
+    if (o.worker) {
       sim::SweepWorkerOptions opts;
       opts.dir = o.dir;
       opts.stale_after_s = o.stale_after_s;
@@ -161,20 +116,8 @@ int main(int argc, char** argv) {
       return 0;
     }
     sim::SweepCheckpointStats stats;
-    std::vector<sim::BurstResult> results;
-    if (o.mode == Mode::Workers) {
-      sim::SweepMpOptions opts;
-      opts.dir = o.dir;
-      opts.workers = o.workers;
-      opts.resume = o.resume;
-      results = sim::run_sweep_multiprocess(o.grid, opts, &stats);
-    } else {
-      sim::SweepCheckpointOptions opts;
-      opts.dir = o.dir;
-      opts.resume = o.resume;
-      opts.every = o.every;
-      results = sim::run_sweep_checkpointed(o.grid, opts, 0, &stats);
-    }
+    const auto results = sim::run_sweep_checkpointed(
+        o.grid, {o.dir, o.resume}, /*threads=*/0, &stats);
     std::printf("gs_sweep: cells=%zu resumed=%zu run=%zu fp=%016llx\n",
                 stats.cells_total, stats.cells_resumed, stats.cells_run,
                 static_cast<unsigned long long>(

@@ -12,7 +12,7 @@
 //   --faults SPEC       faults::FaultSpec::parse grammar  (default none)
 #pragma once
 
-#include <cstdio>
+#include <set>
 #include <string>
 
 #include "common/cli.hpp"
@@ -26,8 +26,13 @@ inline constexpr const char* kScenarioUsage =
     "[--days N] [--servers N] [--strategy NAME] [--panels N]\n"
     "  [--background F] [--solar-seed N] [--faults SPEC]";
 
-/// Build the campaign config from scenario flags; exits(2) on a bad
-/// strategy name so both tools fail the same way.
+/// The scenario flags above; each takes a value.
+inline const std::set<std::string> kScenarioKeys = {
+    "days", "servers", "strategy", "panels", "background", "solar-seed",
+    "faults"};
+
+/// Build the campaign config from scenario flags; a malformed operand
+/// throws, so both tools fail the same way.
 inline sim::DayRunConfig scenario_from_cli(const CliArgs& args) {
   sim::DayRunConfig cfg;
   cfg.days = args.get("days", cfg.days);
@@ -40,10 +45,7 @@ inline sim::DayRunConfig scenario_from_cli(const CliArgs& args) {
   const std::string name =
       args.get("strategy", std::string(core::to_string(cfg.cluster.strategy)));
   const auto kind = core::strategy_from_string(name);
-  if (!kind) {
-    std::fprintf(stderr, "unknown strategy '%s'\n", name.c_str());
-    std::exit(2);
-  }
+  if (!kind) throw UsageError("unknown strategy '" + name + "'");
   cfg.cluster.strategy = *kind;
   const std::string spec = args.get("faults", std::string());
   if (!spec.empty()) cfg.faults = faults::FaultSpec::parse(spec);
