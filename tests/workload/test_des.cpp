@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "common/assert.hpp"
-
+#include "common/keyed_cache.hpp"
+#include "sim/burst_runner.hpp"
+#include "sim/sweep.hpp"
 #include "workload/des.hpp"
 #include "workload/perf_model.hpp"
 #include "workload/queueing.hpp"
@@ -126,6 +128,67 @@ TEST(Des, ContractsOnInputs) {
   EXPECT_THROW((void)simulate_epoch(rng, specjbb(), server::max_sprint(), 10.0,
                               Seconds(0.0)),
                gs::ContractError);
+}
+
+TEST(Des, EpochResultsArePinned) {
+  // Every DesResult field, by bit pattern, over apps x {Normal, a middle
+  // setting, max sprint} x {0.5, 0.9, 1.2} x capacity x {default options,
+  // admission control, straggler derate}, plus two DES-mode bursts. Any
+  // change to the draw order or to the arithmetic of the epoch loop moves
+  // these digests; recapture them only for an intended behaviour change.
+  std::uint64_t h = 0xde5ull;
+  const auto add = [&h](auto v) { h = hash_combine(h, v); };
+  const server::ServerSetting settings[] = {
+      server::normal_mode(), server::ServerSetting{9, 4},
+      server::max_sprint()};
+  std::uint64_t cell = 0;
+  for (const AppDescriptor& app : all_apps()) {
+    const PerfModel m(app);
+    for (const server::ServerSetting& s : settings) {
+      for (const double load : {0.5, 0.9, 1.2}) {
+        for (int variant = 0; variant < 3; ++variant) {
+          DesOptions o;
+          if (variant == 1) o.admit_wait_limit_s = 0.35;
+          if (variant == 2) o.service_derate = 0.7;
+          Rng rng = Rng::stream(17, {cell++});
+          const DesResult r = simulate_epoch(
+              rng, app, s, load * m.capacity(s), Seconds(10.0), o);
+          add(r.arrivals);
+          add(r.completed);
+          add(r.sla_met);
+          add(r.dropped);
+          add(r.tail_latency.value());
+          add(r.goodput_rate);
+          add(r.mean_utilization);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(h, 0x12db89d10ff9bbb6ull) << std::hex << "got 0x" << h;
+
+  // DES-mode bursts: admission control in every epoch and the DES-measured
+  // Normal baseline; the faulted one also drives the straggler derate.
+  sim::Scenario plain;
+  plain.app = specjbb();
+  plain.green = sim::re_batt();
+  plain.strategy = core::StrategyKind::Hybrid;
+  plain.availability = trace::Availability::Med;
+  plain.burst_duration = Seconds(600.0);
+  plain.use_des = true;
+  sim::Scenario faulted = plain;
+  faulted.app = websearch();
+  faulted.green = sim::sre_sbatt();
+  faulted.strategy = core::StrategyKind::Greedy;
+  faulted.availability = trace::Availability::Min;
+  faulted.burst_duration = Seconds(900.0);
+  faulted.faults = faults::FaultSpec::uniform(0.4, 7);
+  const std::uint64_t fp_plain = sim::sweep_fingerprint({run_burst(plain)});
+  const std::uint64_t fp_faulted =
+      sim::sweep_fingerprint({run_burst(faulted)});
+  EXPECT_EQ(fp_plain, 0xf49b28f69eb4751dull)
+      << std::hex << "got 0x" << fp_plain;
+  EXPECT_EQ(fp_faulted, 0x90109dc866006ed7ull)
+      << std::hex << "got 0x" << fp_faulted;
 }
 
 }  // namespace
