@@ -6,9 +6,10 @@
 //       [--faults=brownout=0.3,panel=0.2] [--fault-seed=7]
 //       [--fault-corr=storm=0.8,cascade=0.5] [--health-aware]
 //
-// Prints a per-epoch table (or CSV with --csv) plus the summary line the
-// paper's figures plot. Also supports --oracle to print the offline
-// upper bound for the same scenario.
+// Prints a per-epoch table (or, with --csv, sim::export_epochs_csv's
+// lossless per-epoch CSV) plus the summary line the paper's figures plot.
+// Also supports --oracle to print the offline upper bound for the same
+// scenario.
 #include <cctype>
 #include <iostream>
 
@@ -17,6 +18,7 @@
 #include "faults/correlation.hpp"
 #include "faults/fault_spec.hpp"
 #include "sim/burst_runner.hpp"
+#include "sim/export.hpp"
 #include "sim/oracle_runner.hpp"
 
 namespace {
@@ -123,23 +125,7 @@ int main(int argc, char** argv) {
   const auto r = sim::run_burst(sc);
 
   if (args.flag("csv")) {
-    CsvWriter csv(std::cout);
-    csv.row({"t_s", "setting", "case", "demand_w", "re_w", "batt_w",
-             "grid_w", "soc", "goodput", "latency_s", "faulted", "crashed",
-             "degraded"});
-    for (const auto& e : r.epochs) {
-      csv.row({TextTable::num((e.time - r.window_start).value(), 0),
-               server::to_string(e.setting), power::to_string(e.power_case),
-               TextTable::num(e.demand.value(), 1),
-               TextTable::num(e.re_used.value(), 1),
-               TextTable::num(e.batt_used.value(), 1),
-               TextTable::num(e.grid_used.value(), 1),
-               TextTable::num(e.battery_soc, 3),
-               TextTable::num(e.goodput, 1),
-               TextTable::num(e.latency.value(), 4),
-               e.faulted ? "1" : "0", e.crashed ? "1" : "0",
-               e.degraded ? "1" : "0"});
-    }
+    sim::export_epochs_csv(std::cout, r);
   } else {
     TextTable t({"t(min)", "Setting", "Case", "Demand", "RE", "Batt",
                  "Grid", "SoC", "Goodput"});

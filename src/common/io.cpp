@@ -68,6 +68,15 @@ void fdatasync_or_throw(int fd, const std::string& path) {
   }
 }
 
+/// `<path>.tmp-p<pid>.<n>`, with n from a process-wide counter: no two
+/// writers, in this process or another, ever share a temp file.
+std::filesystem::path private_tmp_path(const std::filesystem::path& path) {
+  static std::atomic<std::uint64_t> counter{0};
+  const std::uint64_t n = counter.fetch_add(1, std::memory_order_relaxed);
+  return path.string() + ".tmp-p" + std::to_string(::getpid()) + "." +
+         std::to_string(n);
+}
+
 }  // namespace
 
 void fsync_parent_dir(const std::filesystem::path& entry) {
@@ -120,12 +129,7 @@ void atomic_write_file(const std::filesystem::path& path,
 
 void atomic_write_file(const std::filesystem::path& path,
                        std::string_view bytes, const WriteOptions& opts) {
-  static std::atomic<std::uint64_t> counter{0};
-  const std::uint64_t n = counter.fetch_add(1, std::memory_order_relaxed);
-  const std::filesystem::path tmp =
-      path.string() + ".tmp-p" + std::to_string(::getpid()) + "." +
-      std::to_string(n);
-  atomic_write_file(path, tmp, bytes, opts);
+  atomic_write_file(path, private_tmp_path(path), bytes, opts);
 }
 
 AppendFile::~AppendFile() {
@@ -218,18 +222,31 @@ bool exclusive_create(const std::filesystem::path& path,
       action.kind == failpoint::ActionKind::Enospc) {
     throw_injected(site, action.kind);
   }
-  const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-  if (fd < 0) {
-    if (errno == EEXIST) return false;
-    throw_errno("cannot create " + path.string(), errno);
-  }
   const bool shaped =
       action.kind == failpoint::ActionKind::ShortWrite ||
       action.kind == failpoint::ActionKind::TornWrite;
   const std::size_t persist =
       shaped ? torn_prefix(body.size()) : body.size();
-  write_all(fd, body.data(), persist, path.string());
+  // The body goes to a private temp first, and link(2) publishes it under
+  // the claim name, failing with EEXIST when the name exists: exactly one
+  // claimant wins, and no reader ever sees a claim without its body (an
+  // O_CREAT|O_EXCL create would show it empty until the write landed).
+  const std::filesystem::path tmp = private_tmp_path(path);
+  const int fd = open_or_throw(tmp, O_CREAT | O_EXCL | O_WRONLY);
+  try {
+    write_all(fd, body.data(), persist, tmp.string());
+  } catch (const IoError&) {
+    ::unlink(tmp.c_str());
+    throw;
+  }
   ::close(fd);
+  const int linked = ::link(tmp.c_str(), path.c_str());
+  const int err = errno;
+  ::unlink(tmp.c_str());
+  if (linked != 0) {
+    if (err == EEXIST) return false;
+    throw_errno("cannot create " + path.string(), err);
+  }
   if (action.kind == failpoint::ActionKind::ShortWrite) {
     // The claim exists with a half-written body this caller does not
     // own: to every worker it is a stale lease waiting to be stolen.

@@ -94,10 +94,12 @@ class AppendFile {
   std::uint64_t written_ = 0;
 };
 
-/// O_CREAT|O_EXCL claim (sweep leases): true when this caller created the
-/// file, false when it already exists. Injected Eio/Enospc throw;
+/// Exclusive claim (sweep leases): true when this caller created the
+/// file, false when it already exists. The body is written to a private
+/// temp and published with link(2), so the file never exists without it
+/// (a short or torn write publishes the prefix). Injected Eio/Enospc throw;
 /// TornWrite creates the file with a prefix of `body` and reports
-/// success; Crash _exits after creation, leaving an orphan claim.
+/// success; Crash _exits at the site, before anything is created.
 bool exclusive_create(const std::filesystem::path& path,
                       std::string_view body, const char* site);
 

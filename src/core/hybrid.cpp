@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <string>
 #include <utility>
 
@@ -153,33 +151,6 @@ std::size_t QTable::best_action(std::size_t state) const {
   GS_REQUIRE(state < states_, "QTable state range");
   const auto* row = &q_[state * actions_];
   return std::size_t(std::max_element(row, row + actions_) - row);
-}
-
-void QTable::save(std::ostream& os) const {
-  os.precision(17);
-  os << "gs-qtable 1\n" << states_ << ' ' << actions_ << '\n';
-  for (std::size_t s = 0; s < states_; ++s) {
-    for (std::size_t a = 0; a < actions_; ++a) {
-      os << q_[s * actions_ + a] << (a + 1 < actions_ ? ' ' : '\n');
-    }
-  }
-}
-
-void QTable::load(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  is >> magic >> version;
-  GS_REQUIRE(is.good() && magic == "gs-qtable" && version == 1,
-             "not a gs-qtable v1 stream");
-  std::size_t states = 0, actions = 0;
-  is >> states >> actions;
-  GS_REQUIRE(is.good() && states == states_ && actions == actions_,
-             "QTable dimensions do not match this controller");
-  for (auto& v : q_) {
-    is >> v;
-    GS_REQUIRE(!is.fail(), "truncated or malformed QTable stream");
-  }
-  pristine_ = false;
 }
 
 HybridStrategy::HybridStrategy(const ProfileTable& profile,

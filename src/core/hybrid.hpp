@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <vector>
 
 #include "core/profile_table.hpp"
@@ -79,10 +78,10 @@ class QTable {
   [[nodiscard]] bool all_zero() const;
 
   /// O(1) conservative freshness check: true iff no write (set / update /
-  /// load) has ever touched the table. pristine() implies all_zero(); a
-  /// table whose writes happened to store only zeros reports non-pristine,
-  /// which callers may treat as "maybe non-zero" (the slow path they fall
-  /// back to is bit-identical on an all-zero table).
+  /// mutable row_data) has ever touched the table. pristine() implies
+  /// all_zero(); a table whose writes happened to store only zeros reports
+  /// non-pristine, which callers may treat as "maybe non-zero" (the slow
+  /// path they fall back to is bit-identical on an all-zero table).
   [[nodiscard]] bool pristine() const { return pristine_; }
 
   /// Raw row access (num_actions() contiguous doubles) for the seed
@@ -90,14 +89,6 @@ class QTable {
   /// kernel can process rows independently.
   [[nodiscard]] double* row_data(std::size_t state);
   [[nodiscard]] const double* row_data(std::size_t state) const;
-
-  /// Persist the table (text format: dimensions then row-major values).
-  /// The paper's controller reuses profiling data across runs; this lets a
-  /// deployment warm-start Hybrid from a previously learned policy.
-  void save(std::ostream& os) const;
-  /// Load a table previously written by save(). Throws gs::ContractError
-  /// on malformed input or dimension mismatch with this table.
-  void load(std::istream& is);
 
  private:
   std::size_t states_;
@@ -126,16 +117,14 @@ class HybridStrategy final : public Strategy {
   /// pure function of (profile contents, QoS/power anchors, config), so a
   /// freshly-constructed strategy copies a process-wide cached table
   /// instead of re-running the sweeps; seeding on top of an already
-  /// non-zero table (e.g. after load_policy) runs the sweeps in place.
+  /// non-zero table (e.g. after load_state) runs the sweeps in place.
   void seed_from_profile();
 
-  /// Persist / restore the learned policy (delegates to QTable).
-  void save_policy(std::ostream& os) const { q_.save(os); }
-  void load_policy(std::istream& is) { q_.load(is); }
-
-  /// Checkpoint/restore: the learned Q-table, bit-exact (unlike the text
-  /// save_policy round-trip). Dimensions are validated against this
-  /// strategy's lattice on load.
+  /// Checkpoint/restore: the learned Q-table, bit-exact. The paper's
+  /// controller reuses profiling data across runs; this is how a
+  /// deployment warm-starts Hybrid from a previously learned policy.
+  /// Dimensions are validated against this strategy's lattice on load
+  /// (ckpt::SnapshotError on a mismatch).
   // Schema version inherited from Strategy::kStateVersion.
   // gs-lint: allow(ckpt-schema-version)
   void save_state(ckpt::StateWriter& w) const override;

@@ -75,11 +75,6 @@ Watts BurstSim::re_share(Seconds t) const {
   return array_.ac_output(solar_->at(t)) / double(sc_.green.green_servers);
 }
 
-void BurstSim::record(const EpochRecord& rec) {
-  if (tsdb_) tsdb_.record(rec);
-  result_.epochs.push_back(rec);
-}
-
 BurstSim::BurstSim(const Scenario& scenario)
     // Trace, window and profile all come from process-wide memo caches:
     // every sweep cell sharing a (seed, app) substrate reuses one immutable
@@ -185,7 +180,7 @@ void BurstSim::step() {
     rec.battery_soc = battery_ ? battery_->state_of_charge() : 0.0;
     rec.faulted = true;
     rec.crashed = true;
-    record(rec);
+    result_.epochs.push_back(rec);
     prev_disturbance_ = true;
     ++epoch_;
     return;
@@ -318,7 +313,7 @@ void BurstSim::step() {
   rec.downgraded = downgraded;
   rec.faulted = injector_.enabled() && ef.any();
   rec.degraded = is_degraded;
-  record(rec);
+  result_.epochs.push_back(rec);
   ++epoch_;
 }
 

@@ -2,8 +2,8 @@
 // Monitor -> Predictor -> PSS case selection -> PMK strategy -> power
 // settlement (battery / grid mutation) -> workload evaluation. The paper's
 // Monitor role is the EpochRecord stream: one record per epoch, appended
-// to the result and forwarded to an attached telemetry sink. It follows
-// the paper's prototype methodology (Section IV):
+// to the result. It follows the paper's prototype methodology
+// (Section IV):
 //
 //  * the burst saturates the cluster; the analysis focuses on the
 //    green-provisioned servers, which sprint exclusively from the green
@@ -37,7 +37,6 @@
 #include "power/solar_array.hpp"
 #include "server/power_model.hpp"
 #include "sim/scenario.hpp"
-#include "sim/tsdb_sink.hpp"
 #include "thermal/pcm.hpp"
 #include "trace/solar.hpp"
 #include "workload/perf_model.hpp"
@@ -118,14 +117,6 @@ class BurstSim {
   /// Simulate the next scheduling epoch. Requires !done().
   void step();
 
-  /// Stream every subsequent epoch's telemetry into `engine` (which must
-  /// outlive this sim) under fleet coordinate (rack, server). Not part of
-  /// the checkpoint state: re-attach after a load_state() restore.
-  void attach_tsdb(tsdb::Engine* engine, std::uint32_t rack = 0,
-                   std::uint32_t server = 0) {
-    tsdb_ = TsdbSink(engine, rack, server);
-  }
-
   /// Aggregate the burst statistics. Requires done().
   [[nodiscard]] BurstResult finish();
 
@@ -138,8 +129,6 @@ class BurstSim {
 
  private:
   [[nodiscard]] Watts re_share(Seconds t) const;
-  /// Append the epoch's record to the result and the attached sink.
-  void record(const EpochRecord& rec);
   [[nodiscard]] power::Battery& batt() {
     return battery_ ? *battery_ : dummy_battery_;
   }
@@ -167,7 +156,6 @@ class BurstSim {
   std::size_t n_epochs_ = 0;
   std::size_t epoch_ = 0;
 
-  TsdbSink tsdb_;
   Rng des_rng_;
   faults::FaultInjector injector_;
   bool prev_disturbance_ = false;

@@ -1,15 +1,13 @@
-// CSV exporters for simulation results, for external plotting of the
-// paper's figures (each bench prints tables; these emit machine-readable
-// series with the same columns).
+// Result exports: the per-epoch CSV (machine-readable, for external
+// plotting of the paper's figures; greensprint_cli --csv prints it) and
+// the availability (MTTR/MTBF) report over a burst's fault telemetry.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "sim/burst_runner.hpp"
-#include "tsdb/fwd.hpp"
 
 namespace gs::sim {
 
@@ -17,25 +15,6 @@ namespace gs::sim {
 /// goodput, latency. Numbers are formatted with TextTable::exact, so the
 /// CSV re-ingests without losing bits.
 void export_epochs_csv(std::ostream& os, const BurstResult& result);
-void export_epochs_csv_file(const std::string& path,
-                            const BurstResult& result);
-
-/// Same CSV, read back out of the telemetry engine: joins the fifteen
-/// kTsdbEpochMetrics series recorded for (rack, server) on their shared
-/// epoch timestamps. Because the sink stores every column losslessly on an
-/// order-preserving time key, the output is byte-identical to
-/// export_epochs_csv over the BurstResult the sink observed (`window_start`
-/// is the result's window_start — the engine keys absolute time). Throws
-/// tsdb::TsdbError if the fifteen series are absent or misaligned.
-void export_epochs_csv(std::ostream& os, tsdb::Engine& engine,
-                       std::uint32_t rack, std::uint32_t server,
-                       Seconds window_start);
-
-/// One summary row (appendable across scenarios): scenario descriptors
-/// plus normalized performance and energy totals.
-void export_summary_header(std::ostream& os);
-void export_summary_row(std::ostream& os, const Scenario& scenario,
-                        const BurstResult& result);
 
 // --- Availability (MTTR/MTBF) reporting -----------------------------------
 
@@ -69,10 +48,5 @@ struct AvailabilityReport {
 /// (the result records downtime in whole epochs).
 [[nodiscard]] AvailabilityReport availability_report(const BurstResult& result,
                                                      Seconds epoch);
-
-/// One row per fault class with incidents, plus a trailing "total" row.
-void export_availability_csv(std::ostream& os, const AvailabilityReport& rep);
-void export_availability_csv_file(const std::string& path,
-                                  const AvailabilityReport& rep);
 
 }  // namespace gs::sim

@@ -4,8 +4,12 @@
 // them by an allocation policy.
 //
 //  * EqualShare — every green server receives RE/n (the paper's implicit
-//    symmetric setup; burst_runner's single-representative-server model is
-//    exact for this policy).
+//    symmetric setup). A one-server EqualShare cluster replays
+//    burst_runner's single-representative-server model bit for bit on
+//    clean epochs, with one exception: when the replanned setting still
+//    draws more than the green supply, BurstSim falls back to Normal while
+//    the cluster sprints into a settlement deficit (2 of 1728 clean cells;
+//    tests/sim/test_green_cluster.cpp).
 //  * Waterfall  — servers are filled in priority order: the first server
 //    gets renewable power up to its demand, the remainder flows to the
 //    next. Concentrates scarce supply in a few fully-sprinting servers

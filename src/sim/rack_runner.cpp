@@ -1,8 +1,6 @@
 #include "sim/rack_runner.hpp"
 
 #include "common/assert.hpp"
-#include "sim/tsdb_sink.hpp"
-#include "tsdb/engine.hpp"
 
 namespace gs::sim {
 
@@ -48,32 +46,11 @@ RackEpoch RackRunner::step(Watts re_total, double lambda,
   out.green = green_.step(re_total, lambda, /*bursting=*/true, epoch_faults);
   out.cluster_goodput = out.grid_goodput + out.green.total_goodput;
   out.rack_power = out.grid_servers_power + out.green.total_demand;
-
-  if (tsdb_ != nullptr) {
-    const double t_s =
-        green_.config().epoch.value() * double(epochs_stepped_);
-    record_cluster_epoch(*tsdb_, tsdb_rack_, t_s, out.green);
-    const tsdb::Timestamp t = tsdb::to_timestamp(t_s);
-    tsdb_->append_at(
-        tsdb_->series("rack_power_w", tsdb_rack_, kTsdbAggregateServer), t,
-        out.rack_power.value());
-    tsdb_->append_at(
-        tsdb_->series("grid_servers_w", tsdb_rack_, kTsdbAggregateServer), t,
-        out.grid_servers_power.value());
-    tsdb_->append_at(
-        tsdb_->series("grid_goodput", tsdb_rack_, kTsdbAggregateServer), t,
-        out.grid_goodput);
-    tsdb_->append_at(
-        tsdb_->series("rack_goodput", tsdb_rack_, kTsdbAggregateServer), t,
-        out.cluster_goodput);
-  }
-  ++epochs_stepped_;
   return out;
 }
 
 void RackRunner::idle_step(Watts re_total, double background_lambda) {
   green_.idle_step(re_total, background_lambda);
-  ++epochs_stepped_;
 }
 
 double RackRunner::normal_cluster_goodput(double lambda) const {

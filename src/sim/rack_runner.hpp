@@ -8,12 +8,9 @@
 // cluster-wide speedup the per-green-server figures do not show.
 #pragma once
 
-#include <cstdint>
-
 #include "faults/fault_injector.hpp"
 #include "sim/cluster.hpp"
 #include "sim/green_cluster.hpp"
-#include "tsdb/fwd.hpp"
 
 namespace gs::sim {
 
@@ -54,24 +51,12 @@ class RackRunner {
   [[nodiscard]] const RackConfig& config() const { return cfg_; }
   [[nodiscard]] GreenCluster& green_cluster() { return green_; }
 
-  /// Stream each burst epoch's rack and green-group aggregates into
-  /// `engine` (which must outlive this runner) under `rack`. The runner
-  /// has no external clock, so the time axis is epochs-stepped (burst or
-  /// idle) times the green epoch length.
-  void attach_tsdb(tsdb::Engine* engine, std::uint32_t rack = 0) {
-    tsdb_ = engine;
-    tsdb_rack_ = rack;
-  }
-
  private:
   RackConfig cfg_;
   workload::AppDescriptor app_;
   workload::PerfModel perf_;
   server::ServerPowerModel power_model_;
   GreenCluster green_;
-  tsdb::Engine* tsdb_ = nullptr;
-  std::uint32_t tsdb_rack_ = 0;
-  std::uint64_t epochs_stepped_ = 0;
 };
 
 }  // namespace gs::sim

@@ -18,8 +18,7 @@
 namespace gs::sim {
 
 std::vector<BurstResult> run_sweep(const std::vector<Scenario>& scenarios,
-                                   std::size_t threads,
-                                   tsdb::Engine* telemetry) {
+                                   std::size_t threads) {
   std::vector<BurstResult> results(scenarios.size());
   if (scenarios.empty()) return results;
   ThreadPool pool(threads);
@@ -30,14 +29,7 @@ std::vector<BurstResult> run_sweep(const std::vector<Scenario>& scenarios,
       pool, scenarios.size(),
       [&](std::size_t i) {
         try {
-          if (telemetry != nullptr) {
-            BurstSim sim(scenarios[i]);
-            sim.attach_tsdb(telemetry, std::uint32_t(i));
-            while (!sim.done()) sim.step();
-            results[i] = sim.finish();
-          } else {
-            results[i] = run_burst(scenarios[i]);
-          }
+          results[i] = run_burst(scenarios[i]);
         } catch (...) {
           MutexLock lock(error_mu);
           if (!failed.exchange(true)) first_error = std::current_exception();

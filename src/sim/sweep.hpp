@@ -10,7 +10,6 @@
 
 #include "common/stats.hpp"
 #include "sim/burst_runner.hpp"
-#include "tsdb/fwd.hpp"
 
 namespace gs::sim {
 
@@ -21,13 +20,8 @@ namespace gs::sim {
 /// entirely. Results are bit-identical across thread counts and cache
 /// states: every cell derives its own Rng streams from its seed and the
 /// cached substrates are deterministic in their keys.
-/// `telemetry` (optional) streams every cell's epoch telemetry into one
-/// shared tsdb engine, cell i under rack coordinate i (the engine is
-/// internally synchronized, so concurrent cells interleave safely). The
-/// recorded series do not affect results or determinism.
 [[nodiscard]] std::vector<BurstResult> run_sweep(
-    const std::vector<Scenario>& scenarios, std::size_t threads = 0,
-    tsdb::Engine* telemetry = nullptr);
+    const std::vector<Scenario>& scenarios, std::size_t threads = 0);
 
 /// Checkpointing for long sweeps (src/ckpt). The sweep directory holds a
 /// `sweep.manifest` describing the campaign (cell count + per-cell scenario

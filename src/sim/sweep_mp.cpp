@@ -8,6 +8,7 @@
 #include <ctime>
 #include <fcntl.h>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -38,8 +39,9 @@ fs::path lease_path(const std::string& dir, std::size_t i) {
   return fs::path(dir) / lease_file_name(i);
 }
 
-/// Atomic test-and-set: O_CREAT|O_EXCL succeeds for exactly one claimant.
-/// The lease body is the owner's pid (ASCII) for liveness probes. An
+/// Atomic test-and-set: io::exclusive_create succeeds for exactly one
+/// claimant and publishes the lease together with its body, the owner's
+/// pid (ASCII) for liveness probes. An
 /// injected I/O failure (chaos lane) counts as a lost claim: the worker
 /// moves on and the cell is picked up by someone else — or by this
 /// worker's next pass, once the half-created lease goes stale.
@@ -52,10 +54,14 @@ bool try_claim_lease(const fs::path& lease) {
   }
 }
 
-/// Owner pid recorded in the lease, or 0 when unreadable.
-long lease_owner_pid(const fs::path& lease) {
+/// Owner pid recorded in the lease (0 when unreadable), or nullopt when
+/// the lease no longer exists.
+std::optional<long> lease_owner_pid(const fs::path& lease) {
   std::FILE* f = std::fopen(lease.c_str(), "r");
-  if (f == nullptr) return 0;
+  if (f == nullptr) {
+    if (errno == ENOENT) return std::nullopt;
+    return 0;
+  }
   long pid = 0;
   if (std::fscanf(f, "%ld", &pid) != 1) pid = 0;
   std::fclose(f);
@@ -66,14 +72,17 @@ long lease_owner_pid(const fs::path& lease) {
 /// has sat untouched longer than stale_after_s (the cross-host fallback —
 /// pid probes only see this machine).
 bool lease_is_stale(const fs::path& lease, double stale_after_s) {
-  const long pid = lease_owner_pid(lease);
-  if (pid > 0) {
-    if (::kill(pid_t(pid), 0) == 0) {
+  const std::optional<long> pid = lease_owner_pid(lease);
+  // Released (or stolen) since the failed claim: whoever claims it next
+  // may be alive, so nothing here is stale.
+  if (!pid) return false;
+  if (*pid > 0) {
+    if (::kill(pid_t(*pid), 0) == 0) {
       // Owner alive: stale only by age.
     } else if (errno == ESRCH) {
       return true;  // owner is gone
     }
-  } else if (pid == 0) {
+  } else if (*pid == 0) {
     return true;  // unreadable or half-written body
   }
   struct stat st {};
@@ -139,6 +148,13 @@ SweepWorkerStats run_sweep_worker(const std::vector<Scenario>& scenarios,
       if (!claimed) {
         // A live worker owns this cell; revisit on the next pass.
         ++remaining;
+        continue;
+      }
+      if (sweep_ckpt::cell_exists(opts.dir, i)) {
+        // A peer finished the cell and released its lease between the
+        // check above and this claim: the cell file wins.
+        ::unlink(lease.c_str());
+        done[i] = 1;
         continue;
       }
       const BurstResult result = run_burst(scenarios[i]);

@@ -31,21 +31,26 @@ DesScratch& des_scratch() {
 
 }  // namespace
 
-DesResult simulate_epoch_process(Rng& rng, const AppDescriptor& app,
-                                 const server::ServerSetting& setting,
-                                 ArrivalProcess& arrivals, Seconds epoch,
-                                 DesOptions options) {
+DesResult simulate_epoch(Rng& rng, const AppDescriptor& app,
+                         const server::ServerSetting& setting, double lambda,
+                         Seconds epoch, DesOptions options) {
+  GS_REQUIRE(lambda >= 0.0, "arrival rate must be non-negative");
   GS_REQUIRE(epoch.value() > 0.0, "epoch must be positive");
+  if (lambda == 0.0) return DesResult{};
   GS_REQUIRE(options.service_derate > 0.0 && options.service_derate <= 1.0,
              "service derate must be in (0,1]");
   const double mu = app.service_rate(setting.frequency()) *
                     options.service_derate;
   const double mean_service = 1.0 / mu;
+  GS_REQUIRE(mean_service > 0.0, "mean service time must be positive");
+  // Service draws use the rate 1 / mean_service, not mu: the two can
+  // differ in the last bit, and the draws are pinned by bit pattern.
+  const double service_rate = 1.0 / mean_service;
   const double horizon = epoch.value();
 
   DesResult res;
 
-  // FCFS M/G/k-style dispatch: each arrival goes to the earliest-free
+  // FCFS M/M/k dispatch: each arrival goes to the earliest-free
   // core. A min-heap of core free times implements this exactly for FCFS;
   // the heap lives in reused scratch storage with std::push_heap /
   // std::pop_heap in place of a per-call std::priority_queue.
@@ -60,7 +65,7 @@ DesResult simulate_epoch_process(Rng& rng, const AppDescriptor& app,
   latencies.clear();
 
   double busy_core_time = 0.0;
-  double t = arrivals.next_gap(rng);
+  double t = rng.exponential(lambda);
   while (t < horizon) {
     ++res.arrivals;
     const double core_free = free_at.front();
@@ -69,13 +74,12 @@ DesResult simulate_epoch_process(Rng& rng, const AppDescriptor& app,
     if (options.admit_wait_limit_s > 0.0 &&
         core_free - t > options.admit_wait_limit_s) {
       ++res.dropped;
-      t += arrivals.next_gap(rng);
+      t += rng.exponential(lambda);
       continue;
     }
     std::pop_heap(free_at.begin(), free_at.end(), heap_cmp);
     const double start = std::max(t, core_free);
-    const double service = draw_service(rng, options.service, mean_service,
-                                        options.lognormal_cv);
+    const double service = rng.exponential(service_rate);
     const double done = start + service;
     free_at.back() = done;
     std::push_heap(free_at.begin(), free_at.end(), heap_cmp);
@@ -87,7 +91,7 @@ DesResult simulate_epoch_process(Rng& rng, const AppDescriptor& app,
       latencies.push_back(latency);
       if (latency <= app.qos.limit.value()) ++res.sla_met;
     }
-    t += arrivals.next_gap(rng);
+    t += rng.exponential(lambda);
   }
 
   if (!latencies.empty()) {
@@ -102,16 +106,6 @@ DesResult simulate_epoch_process(Rng& rng, const AppDescriptor& app,
   res.mean_utilization = std::min(
       1.0, busy_core_time / (double(setting.cores) * horizon));
   return res;
-}
-
-DesResult simulate_epoch(Rng& rng, const AppDescriptor& app,
-                         const server::ServerSetting& setting, double lambda,
-                         Seconds epoch, DesOptions options) {
-  GS_REQUIRE(lambda >= 0.0, "arrival rate must be non-negative");
-  GS_REQUIRE(epoch.value() > 0.0, "epoch must be positive");
-  if (lambda == 0.0) return DesResult{};
-  PoissonArrivals arrivals(lambda);
-  return simulate_epoch_process(rng, app, setting, arrivals, epoch, options);
 }
 
 }  // namespace gs::workload

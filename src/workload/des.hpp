@@ -10,7 +10,6 @@
 #include "common/units.hpp"
 #include "server/setting.hpp"
 #include "workload/app.hpp"
-#include "workload/arrivals.hpp"
 
 namespace gs::workload {
 
@@ -25,8 +24,6 @@ struct DesResult {
 };
 
 struct DesOptions {
-  ServiceDistribution service = ServiceDistribution::Exponential;
-  double lognormal_cv = 1.5;
   /// Admission control: shed an arrival whose queueing delay would exceed
   /// this many seconds (0 = unbounded queue). Interactive services bound
   /// their queues so admitted requests finish near the SLA; an unbounded
@@ -47,11 +44,5 @@ struct DesOptions {
                                        const server::ServerSetting& setting,
                                        double lambda, Seconds epoch,
                                        DesOptions options = {});
-
-/// Generalized epoch simulation: arbitrary arrival process and service
-/// distribution. simulate_epoch() is the Poisson/exponential special case.
-[[nodiscard]] DesResult simulate_epoch_process(
-    Rng& rng, const AppDescriptor& app, const server::ServerSetting& setting,
-    ArrivalProcess& arrivals, Seconds epoch, DesOptions options = {});
 
 }  // namespace gs::workload

@@ -1,45 +1,13 @@
+// A learned Hybrid policy persists through the strategy's checkpoint
+// section (save_state / load_state): decisions survive the round trip,
+// and a table of the wrong shape is refused.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "common/assert.hpp"
+#include "ckpt/state_io.hpp"
 #include "core/hybrid.hpp"
 
 namespace gs::core {
 namespace {
-
-TEST(QTableIo, RoundTrip) {
-  QTable a(4, 3);
-  const QLearningConfig cfg;
-  a.update(0, 1, 5.0, 2, cfg);
-  a.update(2, 2, -3.0, 0, cfg);
-  a.set(3, 0, 0.123456789012345);
-  std::stringstream buf;
-  a.save(buf);
-  QTable b(4, 3);
-  b.load(buf);
-  for (std::size_t s = 0; s < 4; ++s) {
-    for (std::size_t act = 0; act < 3; ++act) {
-      EXPECT_DOUBLE_EQ(b.value(s, act), a.value(s, act));
-    }
-  }
-}
-
-TEST(QTableIo, DimensionMismatchThrows) {
-  QTable a(4, 3);
-  std::stringstream buf;
-  a.save(buf);
-  QTable wrong(3, 4);
-  EXPECT_THROW(wrong.load(buf), gs::ContractError);
-}
-
-TEST(QTableIo, MalformedStreamThrows) {
-  QTable a(2, 2);
-  std::stringstream bad("not-a-qtable 7\n");
-  EXPECT_THROW(a.load(bad), gs::ContractError);
-  std::stringstream truncated("gs-qtable 1\n2 2\n1.0 2.0\n");
-  EXPECT_THROW(a.load(truncated), gs::ContractError);
-}
 
 struct PolicyFixture : ::testing::Test {
   workload::AppDescriptor app = workload::specjbb();
@@ -47,6 +15,22 @@ struct PolicyFixture : ::testing::Test {
   server::ServerPowerModel power{Watts(76.0)};
   ProfileTable table{perf, power};
 };
+
+TEST(QTableIo, DimensionMismatchThrows) {
+  const workload::AppDescriptor app = workload::specjbb();
+  const workload::PerfModel perf(app);
+  const server::ServerPowerModel power(Watts(76.0));
+  const ProfileTable table(perf, power);
+  const HybridStrategy fine(table, app, power.idle_power());
+  QLearningConfig coarse_cfg;
+  coarse_cfg.supply_step = 0.1;  // half the supply buckets
+  HybridStrategy coarse(table, app, power.idle_power(), coarse_cfg);
+  ASSERT_NE(coarse.table().num_states(), fine.table().num_states());
+  ckpt::StateWriter w;
+  fine.save_state(w);
+  ckpt::StateReader r(w.buffer());
+  EXPECT_THROW(coarse.load_state(r), ckpt::SnapshotError);
+}
 
 TEST_F(PolicyFixture, WarmStartReproducesDecisions) {
   // Train one Hybrid instance, persist its policy, load into a fresh
@@ -67,10 +51,11 @@ TEST_F(PolicyFixture, WarmStartReproducesDecisions) {
     trained.feedback(fb);
   }
 
-  std::stringstream buf;
-  trained.save_policy(buf);
+  ckpt::StateWriter w;
+  trained.save_state(w);
   HybridStrategy fresh(table, app, power.idle_power());
-  fresh.load_policy(buf);
+  ckpt::StateReader r(w.buffer());
+  fresh.load_state(r);
 
   for (double supply = 95.0; supply <= 215.0; supply += 7.0) {
     for (int intensity : {6, 9, 12}) {

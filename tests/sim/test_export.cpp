@@ -1,13 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
-#include <unistd.h>
+#include <string>
 
 #include "common/assert.hpp"
-#include "common/io.hpp"
 #include "sim/export.hpp"
 
 namespace gs::sim {
@@ -45,41 +41,6 @@ TEST(Export, EpochRowsCarryTheData) {
   EXPECT_NE(os.str().find("RenewableOnly"), std::string::npos);
 }
 
-TEST(Export, SummaryRowRoundTrips) {
-  const auto sc = small_scenario();
-  const auto r = run_burst(sc);
-  std::ostringstream os;
-  export_summary_header(os);
-  export_summary_row(os, sc, r);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("SPECjbb"), std::string::npos);
-  EXPECT_NE(out.find("RE-SBatt"), std::string::npos);
-  EXPECT_NE(out.find("Pacing"), std::string::npos);
-  EXPECT_NE(out.find("Max"), std::string::npos);
-  // Two lines: header + row.
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 2);
-}
-
-TEST(Export, FileExport) {
-  const auto r = run_burst(small_scenario());
-  const std::string path = ::testing::TempDir() + "/gs_epochs_" +
-                           std::to_string(::getpid()) + ".csv";
-  export_epochs_csv_file(path, r);
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good());
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header.rfind("t_s,", 0), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(Export, BadPathThrows) {
-  const auto r = run_burst(small_scenario());
-  // Exports commit through the gs::io shim, whose failures are IoError.
-  EXPECT_THROW(export_epochs_csv_file("/nonexistent/dir/x.csv", r),
-               gs::io::IoError);
-}
-
 TEST(Export, AvailabilityReportOnHealthyRunIsPerfect) {
   const auto r = run_burst(small_scenario());
   const auto rep = availability_report(r, Seconds(60.0));
@@ -113,42 +74,6 @@ TEST(Export, AvailabilityReportUnderFaults) {
   }
   EXPECT_DOUBLE_EQ(rep.mttr.value(),
                    rep.downtime.value() / double(rep.incidents));
-}
-
-TEST(Export, AvailabilityCsvHasPerClassAndTotalRows) {
-  auto sc = small_scenario();
-  sc.burst_duration = Seconds(1800.0);
-  sc.faults = faults::FaultSpec::uniform(0.4, 7);
-  const auto rep = availability_report(run_burst(sc), Seconds(60.0));
-  std::ostringstream os;
-  export_availability_csv(os, rep);
-  const std::string out = os.str();
-  EXPECT_EQ(out.rfind("fault_class,incidents,downtime_s", 0), 0u);
-  EXPECT_NE(out.find("\ntotal,"), std::string::npos);
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'),
-            std::ptrdiff_t(rep.per_class.size()) + 2);  // header + total
-}
-
-TEST(Export, AvailabilityCsvReportsNoFailuresInsteadOfZeroMtbf) {
-  // Regression: a failure-free run has undefined MTTR/MTBF; the total row
-  // must say so instead of printing 0.0 (which reads as instant failure).
-  const auto rep = availability_report(run_burst(small_scenario()),
-                                       Seconds(60.0));
-  ASSERT_EQ(rep.incidents, 0u);
-  std::ostringstream os;
-  export_availability_csv(os, rep);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("total,0,0,no-failures,no-failures,"),
-            std::string::npos);
-  // A faulted run keeps the numeric columns.
-  auto sc = small_scenario();
-  sc.burst_duration = Seconds(1800.0);
-  sc.faults = faults::FaultSpec::uniform(0.4, 7);
-  const auto faulted = availability_report(run_burst(sc), Seconds(60.0));
-  ASSERT_GT(faulted.incidents, 0u);
-  std::ostringstream os2;
-  export_availability_csv(os2, faulted);
-  EXPECT_EQ(os2.str().find("no-failures"), std::string::npos);
 }
 
 TEST(Export, AvailabilityRejectsNonPositiveEpoch) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -8,7 +10,10 @@
 #include "common/assert.hpp"
 #include "common/keyed_cache.hpp"
 #include "faults/fault_injector.hpp"
+#include "power/solar_array.hpp"
+#include "sim/burst_runner.hpp"
 #include "sim/green_cluster.hpp"
+#include "trace/solar.hpp"
 
 namespace gs::sim {
 namespace {
@@ -371,6 +376,157 @@ TEST(GreenCluster, EpochLoopMatchesGoldenDigests) {
     const std::uint64_t got = golden_run(gc);
     EXPECT_EQ(got, gc.digest) << std::hex << "got 0x" << got;
   }
+}
+
+/// True when two doubles carry the same bit pattern.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// One epoch of a one-server EqualShare GreenCluster next to the record
+/// BurstSim produced for the same epoch.
+struct EpochPair {
+  EpochRecord burst;
+  ClusterEpoch cluster;
+  double cluster_soc = 0.0;
+};
+
+/// Replays a clean burst scenario on a one-server EqualShare GreenCluster
+/// with BurstSim's substrate (trace, window, array, per-server RE share,
+/// warmup and load shape) and pairs its epochs with run_burst's records.
+std::vector<EpochPair> replay_on_cluster(const Scenario& sc) {
+  const BurstResult burst = run_burst(sc);
+  trace::SolarTraceConfig tcfg;
+  tcfg.seed = sc.seed;
+  const auto solar = trace::shared_solar_trace(tcfg);
+  const Seconds start = *trace::shared_solar_window(
+      tcfg, sc.burst_duration, sc.availability);
+  const power::SolarArray array({sc.green.panels, Watts(275.0), 0.77});
+  const auto re_share = [&](Seconds t) {
+    return array.ac_output(solar->at(t)) / double(sc.green.green_servers);
+  };
+  GreenClusterConfig gcfg;
+  gcfg.servers = 1;
+  gcfg.battery_per_server = sc.green.battery;
+  gcfg.strategy = sc.strategy;
+  gcfg.epoch = sc.epoch;
+  GreenCluster cluster(sc.app, gcfg);
+  const workload::PerfModel& perf = cluster.perf();
+  const double lambda_peak = perf.intensity_load(sc.burst_intensity);
+  const double lambda_background =
+      sc.background_load * perf.capacity(server::normal_mode());
+  const Seconds warm_start =
+      Seconds(std::max(0.0, (start - sc.warmup).value()));
+  for (Seconds t = warm_start; t < start; t += sc.epoch) {
+    cluster.idle_step(re_share(t), lambda_background);
+  }
+  const std::size_t n = burst.epochs.size();
+  std::vector<EpochPair> pairs;
+  for (std::size_t e = 0; e < n; ++e) {
+    const Seconds t = start + sc.epoch * double(e);
+    const double lambda =
+        lambda_peak * trace::burst_shape_factor(
+                          sc.burst_shape, (double(e) + 0.5) / double(n));
+    EpochPair p;
+    p.burst = burst.epochs[e];
+    p.cluster = cluster.step(re_share(t), lambda, /*bursting=*/true);
+    p.cluster_soc = cluster.mean_soc();
+    pairs.push_back(p);
+  }
+  return pairs;
+}
+
+/// Bit-equality of every per-epoch quantity both runners report; SoC only
+/// where a battery exists (BurstSim records 0 without one).
+bool epochs_match(const EpochPair& p, bool has_battery) {
+  const ClusterEpoch& c = p.cluster;
+  return c.settings.size() == 1 && c.settings[0] == p.burst.setting &&
+         same_bits(c.total_demand.value(), p.burst.demand.value()) &&
+         same_bits(c.re_used.value(), p.burst.re_used.value()) &&
+         same_bits(c.batt_used.value(), p.burst.batt_used.value()) &&
+         same_bits(c.grid_used.value(), p.burst.grid_used.value()) &&
+         same_bits(c.total_goodput, p.burst.goodput) &&
+         (!has_battery || same_bits(p.cluster_soc, p.burst.battery_soc));
+}
+
+/// The two clean cells where BurstSim's second downgrade fallback (the
+/// replanned setting still draws more than the green supply) drops to
+/// Normal while the cluster, which has no such fallback, sprints into a
+/// settlement deficit.
+bool fallback_cell(const Scenario& sc) {
+  return sc.app.name == "Memcached" &&
+         (sc.green.name == "RE-SBatt" || sc.green.name == "SRE-SBatt") &&
+         sc.strategy == core::StrategyKind::Hybrid &&
+         sc.availability == trace::Availability::Min &&
+         sc.burst_duration.value() == 600.0 &&
+         sc.burst_shape == trace::BurstShape::Spike;
+}
+
+TEST(GreenCluster, OneServerEqualShareReplaysBurstSim) {
+  // Differential test of the two epoch runners over every clean cell of
+  // 3 apps x 4 Table-I configs x 4 strategies x 3 availabilities x
+  // {10, 30, 60} min x 4 burst shapes: each epoch's setting, demand, RE,
+  // battery, grid, goodput and SoC must agree bit for bit, except in the
+  // two fallback cells, which must diverge for that reason alone.
+  std::size_t cells = 0;
+  std::size_t fallbacks = 0;
+  for (const workload::AppDescriptor& app : workload::all_apps()) {
+    for (const GreenConfig& green : table1_configs()) {
+      for (const core::StrategyKind strategy :
+           {core::StrategyKind::Greedy, core::StrategyKind::Parallel,
+            core::StrategyKind::Pacing, core::StrategyKind::Hybrid}) {
+        for (const trace::Availability avail :
+             {trace::Availability::Min, trace::Availability::Med,
+              trace::Availability::Max}) {
+          for (const double minutes : {10.0, 30.0, 60.0}) {
+            for (const trace::BurstShape shape :
+                 {trace::BurstShape::Plateau, trace::BurstShape::Ramp,
+                  trace::BurstShape::Spike, trace::BurstShape::Wave}) {
+              Scenario sc;
+              sc.app = app;
+              sc.green = green;
+              sc.strategy = strategy;
+              sc.availability = avail;
+              sc.burst_duration = Seconds(minutes * 60.0);
+              sc.burst_shape = shape;
+              SCOPED_TRACE(app.name + " " + green.name + " " +
+                           core::to_string(strategy) + " " +
+                           trace::to_string(avail) + " " +
+                           std::to_string(int(minutes)) + " min " +
+                           trace::to_string(shape));
+              ++cells;
+              const auto pairs = replay_on_cluster(sc);
+              const bool has_battery = green.battery.value() > 0.0;
+              std::size_t first = 0;
+              while (first < pairs.size() &&
+                     epochs_match(pairs[first], has_battery)) {
+                ++first;
+              }
+              if (!fallback_cell(sc)) {
+                EXPECT_EQ(first, pairs.size()) << "diverged at epoch "
+                                               << first;
+                continue;
+              }
+              ++fallbacks;
+              ASSERT_EQ(first, 3u);
+              const EpochRecord& b = pairs[first].burst;
+              const ClusterEpoch& c = pairs[first].cluster;
+              EXPECT_EQ(b.setting, server::normal_mode());
+              EXPECT_TRUE(b.downgraded);
+              EXPECT_NE(c.settings[0], server::normal_mode());
+              EXPECT_LT((c.re_used + c.batt_used + c.grid_used).value(),
+                        c.total_demand.value())
+                  << "the cluster's sprint must settle into a deficit";
+              // The deficit caps the cluster's goodput at Normal's.
+              EXPECT_TRUE(same_bits(c.total_goodput, b.goodput));
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cells, 1728u);
+  EXPECT_EQ(fallbacks, 2u);
 }
 
 }  // namespace

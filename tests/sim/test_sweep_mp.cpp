@@ -61,8 +61,8 @@ void write_lease(const std::string& dir, std::size_t i, long pid) {
 /// Fork `workers` run_sweep_worker processes over `dir`, the way several
 /// `gs_sweep --worker` runs share one directory, and wait for them. Each
 /// child reports the cells it computed in its exit status; returns their
-/// sum. That can exceed the cell count: a worker that claims a cell just
-/// after another released it computes the cell again (to identical bytes).
+/// sum, which equals the number of cells that had no snapshot: each cell
+/// is computed exactly once.
 std::size_t run_forked_workers(const std::vector<Scenario>& grid,
                                const std::string& dir, int workers) {
   std::vector<pid_t> children;
@@ -104,8 +104,8 @@ TEST_F(SweepMpTest, MultiprocessMergeBitIdenticalToSingleProcess) {
   const auto grid = small_grid();
   const std::uint64_t fp_ref = sweep_fingerprint(run_sweep(grid, 1));
 
-  // Fresh directory: the workers compute every cell, the merge none.
-  EXPECT_GE(run_forked_workers(grid, dir_, 2), grid.size());
+  // Fresh directory: the workers compute every cell once, the merge none.
+  EXPECT_EQ(run_forked_workers(grid, dir_, 2), grid.size());
   SweepCheckpointStats stats;
   const auto results = merge_cells(grid, dir_, &stats);
   EXPECT_EQ(sweep_fingerprint(results), fp_ref);
@@ -241,7 +241,7 @@ TEST_F(SweepMpTest, StormGridMergesBitIdentically) {
   auto grid = small_grid();
   add_storms(grid);
   const std::uint64_t fp_ref = sweep_fingerprint(run_sweep(grid, 1));
-  EXPECT_GE(run_forked_workers(grid, dir_, 2), grid.size());
+  EXPECT_EQ(run_forked_workers(grid, dir_, 2), grid.size());
   EXPECT_EQ(sweep_fingerprint(merge_cells(grid, dir_)), fp_ref);
 }
 

@@ -57,6 +57,34 @@ if ! wait "$w1" || ! wait "$w2"; then
 fi
 expect_line "^gs_sweep: cells=8 resumed=8 run=0 fp=$STORM_FP\$" \
     --smoke --storm --dir "$WORK/mp" --resume
+# Concurrent workers compute each cell exactly once: in every round the
+# run= counts of two --cells 400 workers sum to 400, and neither a lease
+# nor a lease temp is left behind.
+for round in 1 2 3 4 5; do
+  D="$WORK/race$round"
+  "$BIN" --cells 400 --worker --dir "$D" > "$D.w1" &
+  w1=$!
+  "$BIN" --cells 400 --worker --dir "$D" > "$D.w2" &
+  w2=$!
+  if ! wait "$w1" || ! wait "$w2"; then
+    echo "FAIL: race round $round: a gs_sweep --worker exited nonzero"
+    failures=$((failures + 1))
+    continue
+  fi
+  runs=0
+  for n in $(sed -n 's/^gs_sweep: cells=400 run=\([0-9]*\) .*/\1/p' \
+      "$D.w1" "$D.w2"); do
+    runs=$((runs + n))
+  done
+  leftovers=$(find "$D" -name '*.lease' -o -name '*.tmp-p*' | wc -l)
+  if [ "$runs" != 400 ] || [ "$leftovers" != 0 ]; then
+    echo "FAIL: race round $round: workers computed $runs of 400 cells," \
+         "$leftovers lease file(s) left"
+    failures=$((failures + 1))
+  else
+    echo "ok: race round $round: 400 cells, each computed once"
+  fi
+done
 expect_line '^gs_sweep: cells=8 run=8 stale_leases_taken=0$' \
     --smoke --worker --dir "$WORK/worker"
 expect_line "^gs_sweep: cells=8 resumed=8 run=0 fp=$SMOKE_FP\$" \

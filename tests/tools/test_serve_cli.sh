@@ -56,6 +56,9 @@ expect_line '^batch fp cec85cb45b3b7370 bursts 3$' \
     "$DAEMON" --batch --faults all=0.3,seed=7
 expect_line '^gs_feed: wrote 2880 epochs to ' "$FEED" --gen --trace "$T" --days 2
 rm -f "$T"
+# The edges of the accepted ranges still run.
+expect_line '^batch fp [0-9a-f]+ bursts 3$' "$DAEMON" --batch --panels 0
+expect_line '^batch fp [0-9a-f]+ bursts 3$' "$DAEMON" --batch --background 1.5
 
 expect_usage "$DAEMON"
 expect_usage "$DAEMON" --batch --dayz 2
@@ -70,12 +73,19 @@ expect_usage "$DAEMON" --socket "$S" --tsdb bogus
 expect_usage "$DAEMON" --socket "$S" --tsdb cache --tsdb-dir "$WORK/tsdb"
 expect_usage "$DAEMON" --socket "$S" --tsdb wal
 expect_usage "$DAEMON" --socket "$S" --queue-cap x
+# Scenario operands the simulator would refuse are refused as usage.
+for bad in "--servers 0" "--servers -2" "--days 0" "--days -1" \
+           "--panels -1" "--background -0.5"; do
+  # shellcheck disable=SC2086  # split each probe into flag and operand
+  expect_usage "$DAEMON" --batch $bad
+  # shellcheck disable=SC2086
+  expect_usage "$FEED" --gen --trace "$T" $bad
+done
 
 expect_usage "$FEED"
 expect_usage "$FEED" --gen --trace "$T" --dayz 3
 expect_usage "$FEED" --gen --trace "$T" --days abc
 expect_usage "$FEED" --gen --trace "$T" --strategy nosuch
-expect_usage "$FEED" --gen --trace "$T" --days 0
 expect_usage "$FEED" --gen
 expect_usage "$FEED" extra --gen --trace "$T"
 expect_usage "$FEED" --stat --socket "$S" --retry-seed x

@@ -1,21 +1,20 @@
-// Integration of the telemetry engine with the simulators: the TsdbSink
-// fan-out of BurstSim's epoch records, cluster-aggregate recording from
-// the day/rack runners, sweep-wide shared-engine ingest, and the headline
-// guarantee — a CSV exported back out of the engine is byte-identical to
-// the legacy export, including across an engine kill-and-resume.
+// Integration of the telemetry engine with the day runner: DaySim's
+// cluster aggregates land on the aggregate coordinate without perturbing
+// the campaign, and every storage strategy, an engine snapshot restore and
+// a WAL recovery after a kill return the exact rows a MEMORY engine holds
+// — timestamps and value bit patterns alike.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
-#include <sstream>
 #include <string>
+#include <tuple>
 #include <unistd.h>
+#include <vector>
 
 #include "ckpt/state_io.hpp"
 #include "sim/day_runner.hpp"
-#include "sim/export.hpp"
-#include "sim/rack_runner.hpp"
-#include "sim/sweep.hpp"
 #include "sim/tsdb_sink.hpp"
 #include "tsdb/engine.hpp"
 
@@ -40,155 +39,104 @@ fs::path fresh_dir(const std::string& name) {
   return dir;
 }
 
-Scenario small_scenario() {
-  Scenario sc;
-  sc.app = workload::specjbb();
-  sc.green = re_sbatt();
-  sc.strategy = core::StrategyKind::Pacing;
-  sc.availability = trace::Availability::Med;
-  sc.burst_duration = Seconds(300.0);
-  return sc;
+/// One faulted day: crashes and degraded controllers reach the counts.
+DayRunConfig faulted_day() {
+  DayRunConfig cfg;
+  cfg.days = 1;
+  cfg.daily_bursts = default_daily_bursts();
+  cfg.faults = faults::FaultSpec::uniform(0.3, 7);
+  return cfg;
 }
 
-Scenario faulted_scenario() {
-  Scenario sc = small_scenario();
-  sc.burst_duration = Seconds(1200.0);
-  sc.faults = faults::FaultSpec::uniform(0.4, 7);
-  return sc;
-}
-
-BurstResult run_with_engine(const Scenario& sc, tsdb::Engine& engine,
-                            std::uint32_t rack = 0,
-                            std::uint32_t server = 0) {
-  BurstSim sim(sc);
-  sim.attach_tsdb(&engine, rack, server);
+DayRunResult run_with_engine(const DayRunConfig& cfg, tsdb::Engine& engine) {
+  DaySim sim(cfg);
+  sim.attach_tsdb(&engine, /*rack=*/0);
   while (!sim.done()) sim.step();
   return sim.finish();
 }
 
-std::string legacy_csv(const BurstResult& r) {
-  std::ostringstream os;
-  export_epochs_csv(os, r);
-  return os.str();
+/// (metric, timestamp, value bit pattern) for every row of the eight
+/// cluster series under rack 0, series by series in kTsdbClusterMetrics
+/// order.
+using Row = std::tuple<std::size_t, tsdb::Timestamp, std::uint64_t>;
+
+std::vector<Row> cluster_rows(tsdb::Engine& engine) {
+  std::vector<Row> rows;
+  for (std::size_t m = 0; m < kNumTsdbClusterMetrics; ++m) {
+    tsdb::Cursor cur =
+        engine.query(kTsdbClusterMetrics[m], 0, tsdb::kMinTimestamp,
+                     tsdb::kMaxTimestamp, kTsdbAggregateServer);
+    tsdb::CursorRow row;
+    while (cur.next(row)) {
+      rows.emplace_back(m, row.sample.time,
+                        std::bit_cast<std::uint64_t>(row.sample.value));
+    }
+  }
+  return rows;
 }
 
-std::string engine_csv(tsdb::Engine& engine, const BurstResult& r,
-                       std::uint32_t rack = 0, std::uint32_t server = 0) {
-  std::ostringstream os;
-  export_epochs_csv(os, engine, rack, server, r.window_start);
-  return os.str();
+/// The MEMORY engine's rows for faulted_day(): the reference every other
+/// storage path must reproduce.
+const std::vector<Row>& reference_rows() {
+  static const std::vector<Row> rows = [] {
+    tsdb::Engine engine(tsdb::EngineOptions{});
+    (void)run_with_engine(faulted_day(), engine);
+    return cluster_rows(engine);
+  }();
+  return rows;
 }
 
 TEST(TsdbSim, SinkDoesNotPerturbTheSimulation) {
   tsdb::Engine engine(tsdb::EngineOptions{});
-  const auto with = run_with_engine(small_scenario(), engine);
-  const auto without = run_burst(small_scenario());
-  EXPECT_EQ(sweep_fingerprint({with}), sweep_fingerprint({without}));
-}
-
-TEST(TsdbSim, EngineCsvIsByteIdenticalToLegacyExport) {
-  tsdb::Engine engine(tsdb::EngineOptions{});
-  const auto r = run_with_engine(small_scenario(), engine);
-  ASSERT_FALSE(r.epochs.empty());
-  EXPECT_EQ(engine_csv(engine, r), legacy_csv(r));
-}
-
-TEST(TsdbSim, EngineCsvIsByteIdenticalUnderFaultsAndFlags) {
-  // Faulted runs exercise the crash branch and all four condition flags.
-  tsdb::Engine engine(tsdb::EngineOptions{});
-  const auto r = run_with_engine(faulted_scenario(), engine);
-  const std::string csv = engine_csv(engine, r);
-  EXPECT_EQ(csv, legacy_csv(r));
-  EXPECT_NE(csv.find(",1\n"), std::string::npos);  // some flag fired
+  const DayRunResult with = run_with_engine(faulted_day(), engine);
+  EXPECT_EQ(day_result_fingerprint(with),
+            day_result_fingerprint(run_days(faulted_day())));
 }
 
 TEST(TsdbSim, ByteIdenticalAcrossEveryStorageStrategy) {
-  const auto r_ref = run_burst(small_scenario());
-  const std::string expected = legacy_csv(r_ref);
-  for (const tsdb::Strategy s : {tsdb::Strategy::MEMORY, tsdb::Strategy::WAL,
+  const std::vector<Row>& expected = reference_rows();
+  ASSERT_FALSE(expected.empty());
+  for (const tsdb::Strategy s : {tsdb::Strategy::WAL,
                                  tsdb::Strategy::COMPRESSED}) {
     tsdb::EngineOptions opts;
     opts.strategy = s;
-    opts.dir = fresh_dir(std::string("csv_") + tsdb::to_string(s));
-    opts.chunk_capacity = 8;  // force seal/spill churn mid-burst
+    opts.dir = fresh_dir(std::string("rows_") + tsdb::to_string(s));
+    opts.chunk_capacity = 8;  // force seal/spill churn mid-campaign
     tsdb::Engine engine(opts);
-    const auto r = run_with_engine(small_scenario(), engine);
-    EXPECT_EQ(engine_csv(engine, r), expected) << tsdb::to_string(s);
+    (void)run_with_engine(faulted_day(), engine);
+    EXPECT_EQ(cluster_rows(engine), expected) << tsdb::to_string(s);
   }
 }
 
 TEST(TsdbSim, KillAndResumeRestoresBitIdenticalTelemetry) {
-  const auto dir = fresh_dir("tsdb_resume");
   tsdb::EngineOptions opts;
   opts.strategy = tsdb::Strategy::COMPRESSED;
-  opts.dir = dir;
+  opts.dir = fresh_dir("tsdb_resume");
   opts.chunk_capacity = 8;
   ckpt::StateWriter w;
-  std::string expected;
-  BurstResult r;
   {
     tsdb::Engine engine(opts);
-    r = run_with_engine(small_scenario(), engine);
-    expected = engine_csv(engine, r);
+    (void)run_with_engine(faulted_day(), engine);
     engine.save_state(w);
   }  // engine destroyed: only the snapshot + spilled pages survive
   tsdb::Engine restored(opts);
   ckpt::StateReader reader(w.buffer());
   restored.load_state(reader);
-  EXPECT_EQ(engine_csv(restored, r), expected);
-  EXPECT_EQ(expected, legacy_csv(r));
+  EXPECT_EQ(cluster_rows(restored), reference_rows());
 }
 
 TEST(TsdbSim, WalEngineRecoversTelemetryAfterKill) {
-  const auto dir = fresh_dir("tsdb_wal_kill");
   tsdb::EngineOptions opts;
   opts.strategy = tsdb::Strategy::WAL;
-  opts.dir = dir;
-  std::string expected;
-  BurstResult r;
+  opts.dir = fresh_dir("tsdb_wal_kill");
   {
     tsdb::Engine engine(opts);
-    r = run_with_engine(small_scenario(), engine);
-    expected = engine_csv(engine, r);
+    (void)run_with_engine(faulted_day(), engine);
     engine.flush();
     // No snapshot at all: the log is the only survivor.
   }
   tsdb::Engine revived(opts);
-  EXPECT_EQ(engine_csv(revived, r), expected);
-}
-
-TEST(TsdbSim, MisalignedTelemetryIsATypedError) {
-  tsdb::Engine engine(tsdb::EngineOptions{});
-  const auto r = run_with_engine(small_scenario(), engine);
-  // A coordinate nothing recorded under exports as a header-only CSV.
-  const std::string empty = engine_csv(engine, r, 0, 9);
-  EXPECT_EQ(empty.rfind("t_s,cores,freq_ghz", 0), 0u);
-  EXPECT_EQ(std::count(empty.begin(), empty.end(), '\n'), 1);
-  // Break alignment: extend one metric series past the others.
-  engine.append(engine.series(kTsdbEpochMetrics[0], 0, 0), 1e9, 1.0);
-  EXPECT_THROW((void)engine_csv(engine, r), tsdb::TsdbError);
-}
-
-TEST(TsdbSim, SweepStreamsEveryCellUnderItsOwnRack) {
-  std::vector<Scenario> cells = {small_scenario(), small_scenario()};
-  cells[1].seed = 99;
-  tsdb::Engine engine(tsdb::EngineOptions{});
-  const auto results = run_sweep(cells, /*threads=*/2, &engine);
-  ASSERT_EQ(results.size(), 2u);
-  // Telemetry must not change results.
-  EXPECT_EQ(sweep_fingerprint(results),
-            sweep_fingerprint(run_sweep(cells)));
-  // Each cell recorded its epochs under rack = cell index.
-  for (std::uint32_t cell = 0; cell < 2; ++cell) {
-    tsdb::Cursor cur = engine.query("goodput", cell);
-    tsdb::CursorRow row;
-    std::uint64_t n = 0;
-    while (cur.next(row)) ++n;
-    EXPECT_EQ(n, results[cell].epochs.size()) << "cell " << cell;
-    std::ostringstream os;
-    export_epochs_csv(os, engine, cell, 0, results[cell].window_start);
-    EXPECT_EQ(os.str(), legacy_csv(results[cell])) << "cell " << cell;
-  }
+  EXPECT_EQ(cluster_rows(revived), reference_rows());
 }
 
 TEST(TsdbSim, DayRunnerRecordsClusterAggregates) {
@@ -209,32 +157,6 @@ TEST(TsdbSim, DayRunnerRecordsClusterAggregates) {
   EXPECT_GT(n, 0u);
   // Aggregates live on the aggregate coordinate only.
   EXPECT_EQ(engine.find_series("cluster_goodput", 5, 0), std::nullopt);
-}
-
-TEST(TsdbSim, RackRunnerRecordsRackAggregates) {
-  RackConfig cfg;
-  cfg.green.battery_per_server = AmpHours(10.0);
-  cfg.green.strategy = core::StrategyKind::Hybrid;
-  tsdb::Engine engine(tsdb::EngineOptions{});
-  RackRunner rack(workload::specjbb(), cfg);
-  rack.attach_tsdb(&engine, /*rack=*/3);
-  const workload::PerfModel perf(workload::specjbb());
-  const double lambda = perf.intensity_load(12);
-  for (int i = 0; i < 5; ++i) (void)rack.step(Watts(635.0), lambda);
-  rack.idle_step(Watts(635.0), 30.0);
-  (void)rack.step(Watts(635.0), lambda);
-
-  for (const char* metric : {"rack_power_w", "grid_servers_w",
-                             "grid_goodput", "rack_goodput",
-                             "cluster_goodput"}) {
-    tsdb::Cursor cur = engine.query(metric, 3, tsdb::kMinTimestamp,
-                                    tsdb::kMaxTimestamp,
-                                    kTsdbAggregateServer);
-    tsdb::CursorRow row;
-    std::uint64_t n = 0;
-    while (cur.next(row)) ++n;
-    EXPECT_EQ(n, 6u) << metric;  // burst epochs only; idle epochs advance t
-  }
 }
 
 }  // namespace

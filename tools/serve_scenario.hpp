@@ -31,14 +31,23 @@ inline const std::set<std::string> kScenarioKeys = {
     "days", "servers", "strategy", "panels", "background", "solar-seed",
     "faults"};
 
-/// Build the campaign config from scenario flags; a malformed operand
-/// throws, so both tools fail the same way.
+/// Build the campaign config from scenario flags; a malformed or
+/// out-of-range operand throws UsageError, so both tools refuse it the
+/// same way instead of failing deep in the simulator.
 inline sim::DayRunConfig scenario_from_cli(const CliArgs& args) {
   sim::DayRunConfig cfg;
   cfg.days = args.get("days", cfg.days);
+  if (cfg.days < 1) throw UsageError("--days must be at least 1");
   cfg.cluster.servers = args.get("servers", cfg.cluster.servers);
+  if (cfg.cluster.servers < 1) {
+    throw UsageError("--servers must be at least 1");
+  }
   cfg.panels = args.get("panels", cfg.panels);
+  if (cfg.panels < 0) throw UsageError("--panels must not be negative");
   cfg.background_load = args.get("background", cfg.background_load);
+  if (!(cfg.background_load >= 0.0)) {
+    throw UsageError("--background must be a non-negative fraction");
+  }
   cfg.solar_seed =
       std::uint64_t(args.get("solar-seed", int(cfg.solar_seed)));
   cfg.daily_bursts = sim::default_daily_bursts();
