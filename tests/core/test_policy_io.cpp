@@ -3,6 +3,9 @@
 // and a table of the wrong shape is refused.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "ckpt/state_io.hpp"
 #include "core/hybrid.hpp"
 
@@ -57,6 +60,16 @@ TEST_F(PolicyFixture, WarmStartReproducesDecisions) {
   ckpt::StateReader r(w.buffer());
   fresh.load_state(r);
 
+  // The table itself comes back bit for bit.
+  const QTable& a = trained.table();
+  const QTable& b = fresh.table();
+  for (std::size_t s = 0; s < a.num_states(); ++s) {
+    for (std::size_t act = 0; act < a.num_actions(); ++act) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(b.value(s, act)),
+                std::bit_cast<std::uint64_t>(a.value(s, act)))
+          << "state " << s << " action " << act;
+    }
+  }
   for (double supply = 95.0; supply <= 215.0; supply += 7.0) {
     for (int intensity : {6, 9, 12}) {
       const EpochContext ctx{perf.intensity_load(intensity), Watts(supply),
