@@ -47,12 +47,13 @@ struct SeedKeyHash {
   }
 };
 
-// Process-wide Algorithm-1 seed-table cache. Thread safety: race-free
-// static initialization plus an internally synchronized
+// Process-wide Algorithm-1 seed-table cache: the seeded values, row-major,
+// which every controller over the key reads through a QTable view. Thread
+// safety: race-free static initialization plus an internally synchronized
 // (capability-annotated) KeyedCache; safe to call from concurrent sweep
 // cells.
-KeyedCache<SeedKey, QTable, SeedKeyHash>& seed_cache() {
-  static KeyedCache<SeedKey, QTable, SeedKeyHash> cache(32);
+KeyedCache<SeedKey, std::vector<double>, SeedKeyHash>& seed_cache() {
+  static KeyedCache<SeedKey, std::vector<double>, SeedKeyHash> cache(32);
   return cache;
 }
 
@@ -82,20 +83,47 @@ double algorithm1_reward(Watts power_supply, Watts power_demand,
 QTable::QTable(std::size_t num_states, std::size_t num_actions)
     : states_(num_states),
       actions_(num_actions),
-      q_(num_states * num_actions, 0.0) {
-  GS_REQUIRE(num_states > 0 && num_actions > 0,
+      base_(std::make_shared<const std::vector<double>>(num_actions, 0.0)),
+      base_rows_(base_->data()),
+      base_stride_(0),
+      slots_(num_states, kShared) {
+  GS_REQUIRE(num_states > 0 && num_states < kShared && num_actions > 0,
              "QTable dimensions must be positive");
+}
+
+QTable::QTable(std::size_t num_states, std::size_t num_actions,
+               std::shared_ptr<const std::vector<double>> values)
+    : states_(num_states),
+      actions_(num_actions),
+      base_(std::move(values)),
+      base_rows_(base_ ? base_->data() : nullptr),
+      base_stride_(num_actions),
+      slots_(num_states, kShared) {
+  GS_REQUIRE(num_states > 0 && num_states < kShared && num_actions > 0,
+             "QTable dimensions must be positive");
+  GS_REQUIRE(base_ && base_->size() == num_states * num_actions,
+             "QTable values must match its dimensions");
+}
+
+double* QTable::own_row(std::size_t state) {
+  std::uint32_t& slot = slots_[state];
+  if (slot == kShared) {
+    // The base never aliases own_, so growing own_ cannot move `shared`.
+    const double* shared = base_rows_ + state * base_stride_;
+    slot = std::uint32_t(own_.size() / actions_);
+    own_.insert(own_.end(), shared, shared + actions_);
+  }
+  return own_.data() + std::size_t(slot) * actions_;
 }
 
 double QTable::value(std::size_t state, std::size_t action) const {
   GS_REQUIRE(state < states_ && action < actions_, "QTable index range");
-  return q_[state * actions_ + action];
+  return row(state)[action];
 }
 
 void QTable::set(std::size_t state, std::size_t action, double v) {
   GS_REQUIRE(state < states_ && action < actions_, "QTable index range");
-  q_[state * actions_ + action] = v;
-  pristine_ = false;
+  own_row(state)[action] = v;
 }
 
 void QTable::update(std::size_t state, std::size_t action, double reward,
@@ -108,7 +136,7 @@ void QTable::update(std::size_t state, std::size_t action, double reward,
   // there is the result; any later NaN is skipped). The max of a set is
   // order-free except for which zero wins a +0/-0 tie, and that cannot
   // change the stored value (DESIGN.md §9).
-  const double* next = &q_[next_state * actions_];
+  const double* next = row(next_state);
   double m0 = next[0], m1 = next[0], m2 = next[0], m3 = next[0];
   std::size_t a = 1;
   for (; a + 4 <= actions_; a += 4) {
@@ -119,38 +147,28 @@ void QTable::update(std::size_t state, std::size_t action, double reward,
   }
   for (; a < actions_; ++a) m0 = std::max(m0, next[a]);
   const double m = std::max(std::max(m0, m1), std::max(m2, m3));
-  double& q = q_[state * actions_ + action];
+  // Owning the state's row may move every owned row: `next` is dead here.
+  double& q = own_row(state)[action];
   const double old = q;
   const double target = reward + cfg.discount * m;
   q = old + cfg.learning_rate * (target - old);
-  pristine_ = false;
 }
 
 double QTable::max_value(std::size_t state) const {
   GS_REQUIRE(state < states_, "QTable state range");
-  const auto* row = &q_[state * actions_];
-  return *std::max_element(row, row + actions_);
-}
-
-bool QTable::all_zero() const {
-  return std::all_of(q_.begin(), q_.end(), [](double v) { return v == 0.0; });
-}
-
-double* QTable::row_data(std::size_t state) {
-  GS_REQUIRE(state < states_, "QTable state range");
-  pristine_ = false;  // callers hold a mutable view
-  return &q_[state * actions_];
+  const double* r = row(state);
+  return *std::max_element(r, r + actions_);
 }
 
 const double* QTable::row_data(std::size_t state) const {
   GS_REQUIRE(state < states_, "QTable state range");
-  return &q_[state * actions_];
+  return row(state);
 }
 
 std::size_t QTable::best_action(std::size_t state) const {
   GS_REQUIRE(state < states_, "QTable state range");
-  const auto* row = &q_[state * actions_];
-  return std::size_t(std::max_element(row, row + actions_) - row);
+  const double* r = row(state);
+  return std::size_t(std::max_element(r, r + actions_) - r);
 }
 
 HybridStrategy::HybridStrategy(const ProfileTable& profile,
@@ -197,10 +215,9 @@ server::ServerSetting HybridStrategy::decide(const EpochContext& ctx) {
       state_index(ctx.supply, ctx.predicted_load, ctx.health);
   const int level = profile_.level_for(ctx.predicted_load);
   // Both rows are read through raw pointers: one range check each, not
-  // two per action. The const row_data keeps the table pristine (the
-  // mutable overload assumes a write).
+  // two per action. Reading never copies a row or clears pristine().
   const double* power = profile_.power_row(level);
-  const double* q = std::as_const(q_).row_data(state);
+  const double* q = q_.row_data(state);
   const double supply = ctx.supply.value();
   const std::size_t actions = profile_.lattice().size();
   // Feasibility-masked argmax: the PMK cooperates with the PSS to stay
@@ -264,7 +281,7 @@ void seed_row(double* row, const double* rewards, std::size_t actions,
 
 }  // namespace
 
-void HybridStrategy::run_seed_sweeps(QTable& q) const {
+void HybridStrategy::run_seed_sweeps(double* values, bool fresh) const {
   const auto levels = std::size_t(profile_.num_levels());
   const auto actions = profile_.lattice().size();
   // Fresh tables (the cache-miss path of a cold sweep) start every health
@@ -272,7 +289,6 @@ void HybridStrategy::run_seed_sweeps(QTable& q) const {
   // identical update sequences, so slice 0 is computed once and copied.
   // Seeding on top of learned values keeps per-slice differences: every
   // slice runs its own passes.
-  const bool fresh = q.pristine();
   std::vector<double> rewards(actions);
   for (std::size_t b = 0; b < buckets_; ++b) {
     const Watts supply = bucket_supply(b);
@@ -290,15 +306,15 @@ void HybridStrategy::run_seed_sweeps(QTable& q) const {
       // is seeded with the same update sequence: a health-unaware run
       // (always slice 0) behaves exactly as it did before the dimension
       // existed, and online feedback alone differentiates the slices.
+      double* row0 = values + base * actions;
       if (fresh) {
-        double* row0 = q.row_data(base);
         seed_row(row0, rewards.data(), actions, cfg_.seed_sweeps, cfg_);
         for (std::size_t h = 1; h < kNumHealthStates; ++h) {
-          std::copy(row0, row0 + actions, q.row_data(base + h));
+          std::copy(row0, row0 + actions, row0 + h * actions);
         }
       } else {
         for (std::size_t h = 0; h < kNumHealthStates; ++h) {
-          seed_row(q.row_data(base + h), rewards.data(), actions,
+          seed_row(row0 + h * actions, rewards.data(), actions,
                    cfg_.seed_sweeps, cfg_);
         }
       }
@@ -307,10 +323,19 @@ void HybridStrategy::run_seed_sweeps(QTable& q) const {
 }
 
 void HybridStrategy::seed_from_profile() {
+  const std::size_t states = q_.num_states();
+  const std::size_t actions = q_.num_actions();
   if (!q_.pristine()) {
     // Seeding on top of learned / loaded values is order-dependent; run
-    // the sweeps in place rather than use the fresh-table cache.
-    run_seed_sweeps(q_);
+    // the sweeps over this table's own values rather than use the
+    // fresh-table cache.
+    auto values = std::make_shared<std::vector<double>>(states * actions);
+    for (std::size_t s = 0; s < states; ++s) {
+      const double* row = q_.row_data(s);
+      std::copy(row, row + actions, values->data() + s * actions);
+    }
+    run_seed_sweeps(values->data(), /*fresh=*/false);
+    q_ = QTable(states, actions, std::move(values));
     return;
   }
   const SeedKey key{profile_.fingerprint(),
@@ -323,12 +348,14 @@ void HybridStrategy::seed_from_profile() {
                     cfg_.max_violation,
                     cfg_.max_qos_reward,
                     cfg_.seed_sweeps};
-  const auto seeded = seed_cache().get_or_create(key, [this] {
-    QTable q(q_.num_states(), q_.num_actions());
-    run_seed_sweeps(q);
-    return q;
-  });
-  q_ = *seeded;
+  // The view adopts the cached values: nothing is copied, and its
+  // shared_ptr keeps them alive past clear_seed_cache() or eviction.
+  q_ = QTable(states, actions,
+              seed_cache().get_or_create(key, [&] {
+                std::vector<double> values(states * actions, 0.0);
+                run_seed_sweeps(values.data(), /*fresh=*/true);
+                return values;
+              }));
 }
 
 CacheStats HybridStrategy::seed_cache_stats() { return seed_cache().stats(); }
@@ -358,12 +385,10 @@ void HybridStrategy::load_state(ckpt::StateReader& r) {
         ", strategy " + std::to_string(q_.num_states()) + "x" +
         std::to_string(q_.num_actions()));
   }
-  for (std::size_t s = 0; s < states; ++s) {
-    for (std::size_t a = 0; a < actions; ++a) {
-      q_.set(s, a, r.f64());
-    }
-  }
+  auto values = std::make_shared<std::vector<double>>(states * actions);
+  for (double& v : *values) v = r.f64();
   r.end_section();
+  q_ = QTable(states, actions, std::move(values));
 }
 
 }  // namespace gs::core

@@ -28,6 +28,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/profile_table.hpp"
@@ -56,10 +58,23 @@ struct QLearningConfig {
                                        double max_violation = 50.0,
                                        double max_qos_reward = 2.0);
 
-/// Dense (state, action) value table.
+/// (state, action) value table, copy-on-write over shared values. Rows
+/// nobody has written are read from an immutable base: a seeded table
+/// that every controller built over the same seed key shares, or zero
+/// rows. The first write to a row (set or update) copies that one row
+/// into the table's own storage; later reads and
+/// writes of the row go there. A read costs one slot load and one
+/// branch. Copies share the base and own their rows separately, so
+/// neither sees the other's writes.
 class QTable {
  public:
+  /// All-zero table. Allocates one zero row and the per-state slots, not
+  /// num_states x num_actions values.
   QTable(std::size_t num_states, std::size_t num_actions);
+  /// View over `values`, num_states x num_actions row-major, kept alive
+  /// by the view and never written through it.
+  QTable(std::size_t num_states, std::size_t num_actions,
+         std::shared_ptr<const std::vector<double>> values);
 
   [[nodiscard]] double value(std::size_t state, std::size_t action) const;
   void set(std::size_t state, std::size_t action, double v);
@@ -74,27 +89,43 @@ class QTable {
   [[nodiscard]] std::size_t num_states() const { return states_; }
   [[nodiscard]] std::size_t num_actions() const { return actions_; }
 
-  /// True iff no value has been written (fresh table).
-  [[nodiscard]] bool all_zero() const;
+  /// O(1) conservative freshness check: true iff the table was built
+  /// all-zero and no write (set / update) has touched
+  /// it since. A view over values is never pristine. A table whose writes
+  /// happened to store only zeros reports non-pristine, which callers may
+  /// treat as "maybe non-zero" (the slow path they fall back to is
+  /// bit-identical on an all-zero table).
+  [[nodiscard]] bool pristine() const {
+    return base_stride_ == 0 && own_.empty();
+  }
 
-  /// O(1) conservative freshness check: true iff no write (set / update /
-  /// mutable row_data) has ever touched the table. pristine() implies
-  /// all_zero(); a table whose writes happened to store only zeros reports
-  /// non-pristine, which callers may treat as "maybe non-zero" (the slow
-  /// path they fall back to is bit-identical on an all-zero table).
-  [[nodiscard]] bool pristine() const { return pristine_; }
-
-  /// Raw row access (num_actions() contiguous doubles) for the seed
-  /// bootstrap kernel; state updates only ever read their own row, so the
-  /// kernel can process rows independently.
-  [[nodiscard]] double* row_data(std::size_t state);
+  /// Read-only row access (num_actions() contiguous doubles); never
+  /// copies a row. The pointer stays valid only until the next write
+  /// that may copy a row, which can move every owned row: never hold one
+  /// across it.
   [[nodiscard]] const double* row_data(std::size_t state) const;
 
  private:
+  static constexpr std::uint32_t kShared = UINT32_MAX;  ///< Row not owned.
+
+  /// The row as read now, unchecked.
+  [[nodiscard]] const double* row(std::size_t state) const {
+    const std::uint32_t slot = slots_[state];
+    return slot == kShared ? base_rows_ + state * base_stride_
+                           : own_.data() + std::size_t(slot) * actions_;
+  }
+  /// The row in the table's own storage, copied from the base on first
+  /// write; unchecked.
+  [[nodiscard]] double* own_row(std::size_t state);
+
   std::size_t states_;
   std::size_t actions_;
-  std::vector<double> q_;
-  bool pristine_ = true;  ///< No write has touched the table yet.
+  /// Shared values unwritten rows read: the base table, or one zero row.
+  std::shared_ptr<const std::vector<double>> base_;
+  const double* base_rows_;   ///< base_->data().
+  std::size_t base_stride_;   ///< actions_ over a base table, 0 over zeros.
+  std::vector<std::uint32_t> slots_;  ///< Per state: own_ row, or kShared.
+  std::vector<double> own_;           ///< Written rows, in first-write order.
 };
 
 class HybridStrategy final : public Strategy {
@@ -115,9 +146,11 @@ class HybridStrategy final : public Strategy {
 
   /// Seed R(c,a) from the exhaustive profiling table. The bootstrap is a
   /// pure function of (profile contents, QoS/power anchors, config), so a
-  /// freshly-constructed strategy copies a process-wide cached table
-  /// instead of re-running the sweeps; seeding on top of an already
-  /// non-zero table (e.g. after load_state) runs the sweeps in place.
+  /// freshly-constructed strategy's table becomes a copy-on-write view over
+  /// a process-wide cached seed: nothing is copied, and online feedback
+  /// copies only the rows it writes. Seeding on top of a non-pristine
+  /// table (e.g. after load_state or feedback) runs the sweeps over that
+  /// table's own values.
   void seed_from_profile();
 
   /// Checkpoint/restore: the learned Q-table, bit-exact. The paper's
@@ -149,8 +182,9 @@ class HybridStrategy final : public Strategy {
   [[nodiscard]] std::size_t supply_bucket(Watts supply) const;
   /// Representative supply of a bucket (its midpoint).
   [[nodiscard]] Watts bucket_supply(std::size_t bucket) const;
-  /// The Algorithm-1 bootstrap sweeps, applied to an arbitrary table.
-  void run_seed_sweeps(QTable& q) const;
+  /// The Algorithm-1 bootstrap sweeps over a row-major table's values;
+  /// `fresh` when every value is zero.
+  void run_seed_sweeps(double* values, bool fresh) const;
 
   const ProfileTable& profile_;  // NOLINT: non-owning, outlives strategy
   workload::AppDescriptor app_;

@@ -3,6 +3,10 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "ckpt/state_io.hpp"
 #include "common/assert.hpp"
@@ -87,6 +91,24 @@ TEST(QTableTest, IndexContracts) {
   QTable q(2, 2);
   EXPECT_THROW((void)(q.value(2, 0)), gs::ContractError);
   EXPECT_THROW((void)(q.value(0, 2)), gs::ContractError);
+}
+
+TEST(QTableTest, ViewCopiesARowOnFirstWrite) {
+  const auto values = std::make_shared<const std::vector<double>>(
+      std::vector<double>{1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
+  QTable q(3, 2, values);
+  EXPECT_FALSE(q.pristine());  // a view over values is never pristine
+  EXPECT_EQ(q.value(2, 1), 6.0);
+  EXPECT_EQ(q.row_data(1), values->data() + 2);
+  q.set(1, 0, -3.0);
+  EXPECT_EQ(q.value(1, 0), -3.0);
+  EXPECT_EQ(q.value(1, 1), 4.0);  // the rest of the row came along
+  EXPECT_NE(q.row_data(1), values->data() + 2);
+  EXPECT_EQ((*values)[2], 3.0);  // the shared values are never written
+  EXPECT_EQ(q.max_value(1), 4.0);
+  EXPECT_EQ(q.best_action(0), 1u);
+  EXPECT_THROW(QTable(2, 2, values), gs::ContractError);
+  EXPECT_THROW(QTable(3, 2, nullptr), gs::ContractError);
 }
 
 struct HybridFixture : ::testing::Test {
@@ -340,8 +362,8 @@ TEST_F(HybridFixture, OnlineLearningAbandonsFailingAction) {
 // max_value + set. Decisions must match exactly and updated entries bit
 // for bit.
 
-std::size_t reference_decide(const HybridStrategy& h, const ProfileTable& t,
-                             const EpochContext& ctx) {
+std::size_t reference_decide(const HybridStrategy& h, const QTable& q,
+                             const ProfileTable& t, const EpochContext& ctx) {
   const std::size_t state =
       h.state_index(ctx.supply, ctx.predicted_load, ctx.health);
   const int level = t.level_for(ctx.predicted_load);
@@ -350,7 +372,7 @@ std::size_t reference_decide(const HybridStrategy& h, const ProfileTable& t,
   bool found = false;
   for (std::size_t a = 0; a < t.lattice().size(); ++a) {
     if (t.power(level, a) > ctx.supply) continue;
-    const double v = h.table().value(state, a);
+    const double v = q.value(state, a);
     if (!found || v > best) {
       best = v;
       best_action = a;
@@ -386,6 +408,8 @@ void install_table(HybridStrategy& h, const QTable& q) {
 }
 
 void expect_tables_bit_equal(const QTable& got, const QTable& want) {
+  ASSERT_EQ(got.num_states(), want.num_states());
+  ASSERT_EQ(got.num_actions(), want.num_actions());
   for (std::size_t s = 0; s < want.num_states(); ++s) {
     for (std::size_t a = 0; a < want.num_actions(); ++a) {
       ASSERT_EQ(bits(got.value(s, a)), bits(want.value(s, a)))
@@ -394,11 +418,72 @@ void expect_tables_bit_equal(const QTable& got, const QTable& want) {
   }
 }
 
+/// A table with `q`'s values that shares nothing: every row is written,
+/// so none is read through a base.
+QTable unshared_copy(const QTable& q) {
+  QTable out(q.num_states(), q.num_actions());
+  for (std::size_t s = 0; s < q.num_states(); ++s) {
+    for (std::size_t a = 0; a < q.num_actions(); ++a) {
+      out.set(s, a, q.value(s, a));
+    }
+  }
+  return out;
+}
+
+/// Drive `h` through `epochs` random decide/feedback epochs drawn from
+/// `seed`; every fourth epoch stays in its state (next_state == state).
+/// With `ref`, each decision must equal reference_decide on `ref`, and
+/// each update is mirrored into `ref` with reference_update and must
+/// match it bit for bit.
+void random_epochs(HybridStrategy& h, const ProfileTable& t,
+                   const workload::AppDescriptor& app, std::uint64_t seed,
+                   int epochs, QTable* ref = nullptr) {
+  const QLearningConfig cfg;
+  Rng rng(seed);
+  const double lambda_max = t.lambda_max();
+  const auto random_ctx = [&] {
+    EpochContext c{rng.uniform(0.0, 1.1 * lambda_max),
+                   Watts(rng.uniform(40.0, 240.0)), Seconds(60.0)};
+    c.health = int(rng.uniform_int(3));
+    return c;
+  };
+  EpochContext c = random_ctx();
+  for (int i = 0; i < epochs; ++i) {
+    const std::size_t a = t.lattice().index_of(h.decide(c));
+    if (ref != nullptr) {
+      ASSERT_EQ(a, reference_decide(h, *ref, t, c)) << "epoch " << i;
+    }
+    EpochFeedback fb;
+    fb.context = c;
+    fb.action = t.lattice().at(a);
+    fb.power_demand = Watts(rng.uniform(60.0, 220.0));
+    fb.actual_supply = Watts(rng.uniform(0.0, 240.0));
+    fb.achieved_latency = Seconds(rng.uniform(0.0, 3.0));
+    fb.observed_load = c.predicted_load;
+    fb.next_context = i % 4 == 0 ? c : random_ctx();
+    h.feedback(fb);
+    if (ref != nullptr) {
+      const std::size_t s =
+          h.state_index(c.supply, c.predicted_load, c.health);
+      const std::size_t next = h.state_index(fb.next_context.supply,
+                                             fb.next_context.predicted_load,
+                                             fb.next_context.health);
+      const double reward = algorithm1_reward(
+          fb.actual_supply, fb.power_demand, app.qos.limit,
+          fb.achieved_latency, cfg.max_violation, cfg.max_qos_reward);
+      reference_update(*ref, s, a, reward, next, cfg);
+      ASSERT_EQ(bits(h.table().value(s, a)), bits(ref->value(s, a)))
+          << "epoch " << i;
+    }
+    c = fb.next_context;
+  }
+}
+
 struct HybridRowFixture : HybridFixture {
   /// The decision as a lattice index, checked against the reference.
   std::size_t decide_checked(const EpochContext& c) {
     const std::size_t got = table.lattice().index_of(hybrid.decide(c));
-    EXPECT_EQ(got, reference_decide(hybrid, table, c))
+    EXPECT_EQ(got, reference_decide(hybrid, hybrid.table(), table, c))
         << "supply=" << c.supply.value() << " load=" << c.predicted_load
         << " health=" << c.health;
     return got;
@@ -414,42 +499,8 @@ struct HybridRowFixture : HybridFixture {
 
 TEST_F(HybridRowFixture, DecideAndFeedbackMatchReferenceOnSeededTable) {
   hybrid.seed_from_profile();
-  QTable ref = hybrid.table();
-  const QLearningConfig cfg;
-  Rng rng(0x5eed0021u);
-  const double lambda_max = table.lambda_max();
-  const auto random_ctx = [&] {
-    EpochContext c{rng.uniform(0.0, 1.1 * lambda_max),
-                   Watts(rng.uniform(40.0, 240.0)), Seconds(60.0)};
-    c.health = int(rng.uniform_int(3));
-    return c;
-  };
-  EpochContext c = random_ctx();
-  for (int i = 0; i < 3000; ++i) {
-    const std::size_t a = decide_checked(c);
-    EpochFeedback fb;
-    fb.context = c;
-    fb.action = table.lattice().at(a);
-    fb.power_demand = Watts(rng.uniform(60.0, 220.0));
-    fb.actual_supply = Watts(rng.uniform(0.0, 240.0));
-    fb.achieved_latency = Seconds(rng.uniform(0.0, 3.0));
-    fb.observed_load = c.predicted_load;
-    // Every fourth epoch stays in its state (next_state == state).
-    fb.next_context = i % 4 == 0 ? c : random_ctx();
-    const std::size_t s = hybrid.state_index(c.supply, c.predicted_load,
-                                             c.health);
-    const std::size_t next = hybrid.state_index(
-        fb.next_context.supply, fb.next_context.predicted_load,
-        fb.next_context.health);
-    const double reward = algorithm1_reward(
-        fb.actual_supply, fb.power_demand, app.qos.limit,
-        fb.achieved_latency, cfg.max_violation, cfg.max_qos_reward);
-    hybrid.feedback(fb);
-    reference_update(ref, s, a, reward, next, cfg);
-    ASSERT_EQ(bits(hybrid.table().value(s, a)), bits(ref.value(s, a)))
-        << "epoch " << i;
-    c = fb.next_context;
-  }
+  QTable ref = unshared_copy(hybrid.table());
+  random_epochs(hybrid, table, app, 0x5eed0021u, 3000, &ref);
   expect_tables_bit_equal(hybrid.table(), ref);
 }
 
@@ -641,11 +692,148 @@ TEST(QTableUpdate, RangeContractCoversAllThreeIndices) {
 }
 
 TEST_F(HybridFixture, DecideLeavesAFreshTablePristine) {
-  // decide() reads through the const row accessor; the mutable one would
-  // mark the table written and send seed_from_profile down the in-place
-  // path.
+  // decide() only reads; a write would mark the table non-pristine and
+  // send seed_from_profile down the in-place path.
   (void)hybrid.decide(ctx(150.0));
   EXPECT_TRUE(hybrid.table().pristine());
+}
+
+// --- Controllers sharing one seeded table --------------------------------
+//
+// Every controller seeded over one key reads the same cached values, and
+// copies a row only when it first writes it. None of that may show: each
+// controller must behave as if it held its own full copy of the seed.
+
+struct HybridSharedTable : HybridRowFixture {
+  /// The seed as the historical sweeps compute it, in a table that
+  /// shares nothing with the seed cache.
+  [[nodiscard]] QTable reference_seed() const {
+    QTable q(hybrid.table().num_states(), hybrid.table().num_actions());
+    reference_seed_sweeps(q, table, app, power.idle_power().value(),
+                          hybrid.num_supply_buckets(), QLearningConfig{});
+    return q;
+  }
+  [[nodiscard]] std::unique_ptr<HybridStrategy> seeded() const {
+    auto h = std::make_unique<HybridStrategy>(table, app, power.idle_power());
+    h->seed_from_profile();
+    return h;
+  }
+};
+
+TEST_F(HybridSharedTable, FeedbackStaysInItsOwnController) {
+  HybridStrategy::clear_seed_cache();
+  hybrid.seed_from_profile();
+  const auto b = seeded();  // a second view over the same cached seed
+  EXPECT_EQ(HybridStrategy::seed_cache_stats().misses, 1u);
+  const QTable seed = reference_seed();
+  QTable ref = unshared_copy(seed);
+  random_epochs(hybrid, table, app, 0x5eed0032u, 3000, &ref);
+  const auto c = seeded();  // seeded after the writes above
+  EXPECT_EQ(HybridStrategy::seed_cache_stats().misses, 1u);
+  expect_tables_bit_equal(b->table(), seed);
+  expect_tables_bit_equal(c->table(), seed);
+  expect_tables_bit_equal(hybrid.table(), ref);
+}
+
+TEST_F(HybridSharedTable, CopiesDoNotSeeEachOthersWrites) {
+  hybrid.seed_from_profile();
+  const QTable seed = unshared_copy(hybrid.table());
+  const QLearningConfig cfg;
+  QTable a = hybrid.table();
+  QTable want_a = unshared_copy(seed);
+  a.update(40, 3, 2.5, 41, cfg);
+  reference_update(want_a, 40, 3, 2.5, 41, cfg);
+  a.set(7, 0, -1.0);
+  want_a.set(7, 0, -1.0);
+  // A copy of a written view carries its rows, then diverges.
+  QTable b = a;
+  QTable want_b = unshared_copy(want_a);
+  b.set(40, 3, 42.0);
+  want_b.set(40, 3, 42.0);
+  b.update(7, 1, -0.5, 7, cfg);
+  reference_update(want_b, 7, 1, -0.5, 7, cfg);
+  b.update(300, 2, 1.0, 40, cfg);
+  reference_update(want_b, 300, 2, 1.0, 40, cfg);
+  a.update(300, 5, 0.25, 300, cfg);
+  reference_update(want_a, 300, 5, 0.25, 300, cfg);
+  expect_tables_bit_equal(a, want_a);
+  expect_tables_bit_equal(b, want_b);
+  expect_tables_bit_equal(hybrid.table(), seed);
+}
+
+TEST_F(HybridSharedTable, LoadStateIntoAViewRestoresTheTable) {
+  hybrid.seed_from_profile();
+  QTable ref = unshared_copy(hybrid.table());
+  random_epochs(hybrid, table, app, 0x10adu, 500, &ref);
+  ckpt::StateWriter saved;
+  hybrid.save_state(saved);
+
+  // The target is a view with rows of its own, over the same seed.
+  const auto b = seeded();
+  random_epochs(*b, table, app, 0x0dd5u, 200);
+  ckpt::StateReader r(saved.buffer());
+  b->load_state(r);
+  expect_tables_bit_equal(b->table(), ref);
+  ckpt::StateWriter again;
+  b->save_state(again);
+  EXPECT_EQ(again.buffer(), saved.buffer());
+
+  // The restored controller learns on as the original does.
+  random_epochs(hybrid, table, app, 0x7a11u, 300);
+  random_epochs(*b, table, app, 0x7a11u, 300);
+  expect_tables_bit_equal(b->table(), hybrid.table());
+  expect_tables_bit_equal(seeded()->table(), reference_seed());
+}
+
+TEST_F(HybridSharedTable, ViewOutlivesTheSeedCache) {
+  // Run under ASan: the view's shared_ptr, not the cache, must keep the
+  // seeded values alive.
+  HybridStrategy::clear_seed_cache();
+  hybrid.seed_from_profile();
+  QTable ref = unshared_copy(hybrid.table());
+  HybridStrategy::clear_seed_cache();
+  const auto fresh = seeded();  // rebuilds the seed: a new cache entry
+  EXPECT_EQ(HybridStrategy::seed_cache_stats().misses, 1u);
+  HybridStrategy::clear_seed_cache();
+  random_epochs(hybrid, table, app, 0xc1ea5u, 1000, &ref);
+  expect_tables_bit_equal(hybrid.table(), ref);
+  expect_tables_bit_equal(fresh->table(), reference_seed());
+}
+
+TEST_F(HybridSharedTable, ConcurrentControllersMatchSerialRun) {
+  // Four threads write their own controllers' rows while reading one
+  // shared base; each table must match the same controller run alone.
+  constexpr int kThreads = 4;
+  constexpr int kEpochs = 2000;
+  std::vector<QTable> serial;
+  for (int t = 0; t < kThreads; ++t) {
+    const auto h = seeded();
+    random_epochs(*h, table, app, 0x7ead0u + std::uint64_t(t), kEpochs);
+    serial.push_back(unshared_copy(h->table()));
+  }
+  HybridStrategy::clear_seed_cache();
+  std::vector<std::unique_ptr<HybridStrategy>> hs;
+  for (int t = 0; t < kThreads; ++t) hs.push_back(seeded());
+  EXPECT_EQ(HybridStrategy::seed_cache_stats().misses, 1u);
+  std::vector<std::string> errors(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      try {
+        random_epochs(*hs[std::size_t(t)], table, app,
+                      0x7ead0u + std::uint64_t(t), kEpochs);
+      } catch (const std::exception& e) {
+        errors[std::size_t(t)] = e.what();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE("controller " + std::to_string(t));
+    ASSERT_EQ(errors[std::size_t(t)], "");
+    expect_tables_bit_equal(hs[std::size_t(t)]->table(),
+                            serial[std::size_t(t)]);
+  }
 }
 
 }  // namespace
