@@ -129,11 +129,17 @@ std::optional<RotatedLoad> RotatingSnapshot::load_last_known_good() const {
   std::reverse(generations.begin(), generations.end());
 
   RotatedLoad out;
-  const auto pointed = read_pointer(base_);
-  if (!pointed && fs::exists(pointer_path(base_))) {
-    out.notes.push_back("generation pointer " +
-                        pointer_path(base_).string() +
-                        " failed validation; scanning generations");
+  // Existence first: a first writer may publish the pointer between a
+  // failed read and an existence check, and a pointer that was merely
+  // missing must not read as one that failed validation.
+  std::optional<std::uint64_t> pointed;
+  if (fs::exists(pointer_path(base_))) {
+    pointed = read_pointer(base_);
+    if (!pointed) {
+      out.notes.push_back("generation pointer " +
+                          pointer_path(base_).string() +
+                          " failed validation; scanning generations");
+    }
   }
   for (const auto& [generation, path] : generations) {
     try {
