@@ -11,9 +11,10 @@
 #   4. Fail unless the resumed sweep's fingerprint is bit-identical to the
 #      uninterrupted reference.
 #
-# The storm lane makes the kill land inside active storm windows, so the
-# resume path must reconstruct the StormModel, the per-class correlated
-# edge detectors and the health-extended Q-table exactly.
+# The storm lane kills campaigns whose cells run through active storm
+# windows: the resumed run recomputes every unfinished cell whole, so it
+# must regenerate the StormModel, the per-class correlated edge detectors
+# and the health-extended Q-table exactly.
 #
 # A further multi-process lane drives the same campaign with two
 # cooperating `gs_sweep --worker` processes (sim/sweep_mp: lease-file cell

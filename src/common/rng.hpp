@@ -111,14 +111,6 @@ class Rng {
     return mean + stddev * normal();
   }
 
-  /// Raw generator state, for checkpoint/restore: a restored Rng continues
-  /// the stream bit-identically from where the saved one stopped.
-  [[nodiscard]] const std::array<std::uint64_t, 4>& state() const {
-    return s_;
-  }
-
-  void set_state(const std::array<std::uint64_t, 4>& s) { s_ = s; }
-
   /// Poisson count (Knuth for small means, normal approximation for large).
   std::uint64_t poisson(double mean) {
     GS_REQUIRE(mean >= 0.0, "poisson needs mean >= 0");

@@ -1,45 +1,8 @@
 #include "core/forecaster.hpp"
 
-#include "ckpt/common_state.hpp"
 #include "common/assert.hpp"
 
 namespace gs::core {
-
-void EwmaForecaster::save_state(ckpt::StateWriter& w) const {
-  w.begin_section("forecaster.ewma", kStateVersion);
-  ckpt::save_ewma(w, ewma_);
-  w.end_section();
-}
-
-void EwmaForecaster::load_state(ckpt::StateReader& r) {
-  r.begin_section("forecaster.ewma", kStateVersion);
-  ckpt::load_ewma(r, ewma_);
-  r.end_section();
-}
-
-void PersistenceForecaster::save_state(ckpt::StateWriter& w) const {
-  w.begin_section("forecaster.persistence", kStateVersion);
-  w.f64(last_.value());
-  w.end_section();
-}
-
-void PersistenceForecaster::load_state(ckpt::StateReader& r) {
-  r.begin_section("forecaster.persistence", kStateVersion);
-  last_ = Watts(r.f64());
-  r.end_section();
-}
-
-void ClearSkyForecaster::save_state(ckpt::StateWriter& w) const {
-  w.begin_section("forecaster.clearsky", kStateVersion);
-  ckpt::save_ewma(w, index_);
-  w.end_section();
-}
-
-void ClearSkyForecaster::load_state(ckpt::StateReader& r) {
-  r.begin_section("forecaster.clearsky", kStateVersion);
-  ckpt::load_ewma(r, index_);
-  r.end_section();
-}
 
 const char* to_string(ForecasterKind k) {
   switch (k) {

@@ -17,12 +17,10 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string_view>
 
-#include "ckpt/fwd.hpp"
 #include "common/ewma.hpp"
 #include "common/units.hpp"
 
@@ -37,13 +35,6 @@ class RenewableForecaster {
   virtual void observe(Watts production, Seconds now) = 0;
   /// Forecast for the epoch starting at `next` (0 before any observation).
   [[nodiscard]] virtual Watts predict(Seconds next) const = 0;
-
-  // --- Checkpoint/restore (src/ckpt): each forecaster writes a section
-  // named after itself, so loading a snapshot into the wrong kind fails
-  // with a clean SnapshotError.
-  static constexpr std::uint32_t kStateVersion = 1;
-  virtual void save_state(ckpt::StateWriter& w) const = 0;
-  virtual void load_state(ckpt::StateReader& r) = 0;
 };
 
 class EwmaForecaster final : public RenewableForecaster {
@@ -57,9 +48,6 @@ class EwmaForecaster final : public RenewableForecaster {
     return Watts(ewma_.primed() ? ewma_.prediction() : 0.0);
   }
 
-  void save_state(ckpt::StateWriter& w) const override;
-  void load_state(ckpt::StateReader& r) override;
-
  private:
   Ewma ewma_;
 };
@@ -71,9 +59,6 @@ class PersistenceForecaster final : public RenewableForecaster {
   }
   void observe(Watts production, Seconds) override { last_ = production; }
   [[nodiscard]] Watts predict(Seconds) const override { return last_; }
-
-  void save_state(ckpt::StateWriter& w) const override;
-  void load_state(ckpt::StateReader& r) override;
 
  private:
   Watts last_{0.0};
@@ -105,9 +90,6 @@ class ClearSkyForecaster final : public RenewableForecaster {
     const double idx = index_.primed() ? index_.prediction() : 0.0;
     return Watts(peak_.value() * env * idx);
   }
-
-  void save_state(ckpt::StateWriter& w) const override;
-  void load_state(ckpt::StateReader& r) override;
 
  private:
   EnvelopeFn envelope_;

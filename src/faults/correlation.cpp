@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "ckpt/state_io.hpp"
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 
@@ -210,76 +209,6 @@ double StormModel::regime_factor(Seconds t) const {
     if (w.covers(t)) return corr_.regime_boost;
   }
   return corr_.regime_damp;
-}
-
-void StormModel::save_state(ckpt::StateWriter& w) const {
-  w.begin_section("storm_model", kStateVersion);
-  w.f64(corr_.storm_intensity);
-  w.f64(corr_.front_spacing_epochs);
-  w.i64(corr_.front_min_epochs);
-  w.i64(corr_.front_max_epochs);
-  w.f64(corr_.front_boost);
-  w.f64(corr_.cascade_hazard);
-  w.i64(corr_.cascade_window_epochs);
-  w.i64(corr_.servers_per_rack);
-  w.f64(corr_.regime_on);
-  w.f64(corr_.regime_off);
-  w.f64(corr_.regime_boost);
-  w.f64(corr_.regime_damp);
-  w.u64(corr_.seed);
-  w.u64(fronts_.size());
-  for (const StormFront& f : fronts_) {
-    w.f64(f.start.value());
-    w.f64(f.duration.value());
-    w.f64(f.intensity);
-  }
-  w.u64(regimes_.size());
-  for (const RegimeWindow& rw : regimes_) {
-    w.f64(rw.start.value());
-    w.f64(rw.end.value());
-  }
-  w.end_section();
-}
-
-void StormModel::load_state(ckpt::StateReader& r) {
-  r.begin_section("storm_model", kStateVersion);
-  CorrelationSpec corr;
-  corr.storm_intensity = r.f64();
-  corr.front_spacing_epochs = r.f64();
-  corr.front_min_epochs = int(r.i64());
-  corr.front_max_epochs = int(r.i64());
-  corr.front_boost = r.f64();
-  corr.cascade_hazard = r.f64();
-  corr.cascade_window_epochs = int(r.i64());
-  corr.servers_per_rack = int(r.i64());
-  corr.regime_on = r.f64();
-  corr.regime_off = r.f64();
-  corr.regime_boost = r.f64();
-  corr.regime_damp = r.f64();
-  corr.seed = r.u64();
-  std::vector<StormFront> fronts;
-  const auto n_fronts = std::size_t(r.u64());
-  fronts.reserve(n_fronts);
-  for (std::size_t i = 0; i < n_fronts; ++i) {
-    StormFront f;
-    f.start = Seconds(r.f64());
-    f.duration = Seconds(r.f64());
-    f.intensity = r.f64();
-    fronts.push_back(f);
-  }
-  std::vector<RegimeWindow> regimes;
-  const auto n_regimes = std::size_t(r.u64());
-  regimes.reserve(n_regimes);
-  for (std::size_t i = 0; i < n_regimes; ++i) {
-    RegimeWindow rw;
-    rw.start = Seconds(r.f64());
-    rw.end = Seconds(r.f64());
-    regimes.push_back(rw);
-  }
-  r.end_section();
-  corr_ = corr;
-  fronts_ = std::move(fronts);
-  regimes_ = std::move(regimes);
 }
 
 }  // namespace gs::faults

@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/fwd.hpp"
 #include "common/units.hpp"
 #include "faults/fault_spec.hpp"
 
@@ -123,7 +122,7 @@ struct RegimeWindow {
 /// The realized latent processes of one run. Construction is a pure
 /// function of (seed, spec, horizon, epoch) — same inputs, same fronts and
 /// regime windows — and the model is immutable afterwards, so a schedule
-/// can carry it for telemetry and checkpoint round-trips.
+/// can carry it for telemetry.
 class StormModel {
  public:
   StormModel() = default;  ///< Inert (disabled spec, no fronts).
@@ -147,12 +146,6 @@ class StormModel {
   [[nodiscard]] double activation_scale(FaultClass c, Seconds t) const {
     return weather_boost(c, t) * regime_factor(t);
   }
-
-  // --- Checkpoint/restore (src/ckpt): the spec plus the realized fronts
-  // and regime windows, bit-exact.
-  static constexpr std::uint32_t kStateVersion = 1;
-  void save_state(ckpt::StateWriter& w) const;
-  void load_state(ckpt::StateReader& r);
 
  private:
   CorrelationSpec corr_;

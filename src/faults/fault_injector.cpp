@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 
-#include "ckpt/state_io.hpp"
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 
@@ -100,22 +99,6 @@ EpochFaults FaultInjector::at(Seconds t) const {
   // Straggler speed is 1 - magnitude, as magnitude_at would report it.
   for (double& speed : f.server_speed) speed = 1.0 - (1.0 - speed);
   return f;
-}
-
-void FaultInjector::save_state(ckpt::StateWriter& w) const {
-  w.begin_section("fault_injector", kStateVersion);
-  schedule_.save_state(w);
-  w.i64(servers_);
-  w.boolean(enabled_);
-  w.end_section();
-}
-
-void FaultInjector::load_state(ckpt::StateReader& r) {
-  r.begin_section("fault_injector", kStateVersion);
-  schedule_.load_state(r);
-  servers_ = int(r.i64());
-  enabled_ = r.boolean();
-  r.end_section();
 }
 
 }  // namespace gs::faults

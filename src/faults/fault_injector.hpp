@@ -10,10 +10,8 @@
 // build without the subsystem.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
-#include "ckpt/fwd.hpp"
 #include "common/units.hpp"
 #include "faults/fault_schedule.hpp"
 
@@ -72,13 +70,6 @@ class FaultInjector {
   /// sensor-noise multiplier is drawn from a per-epoch hashed stream so
   /// the result depends only on (spec.seed, t) — replays are exact.
   [[nodiscard]] EpochFaults at(Seconds t) const;
-
-  // --- Checkpoint/restore (src/ckpt). at(t) draws from per-epoch hashed
-  // streams (no cursor), so the snapshot is the schedule + wiring; a
-  // restored injector replays exactly by construction.
-  static constexpr std::uint32_t kStateVersion = 1;
-  void save_state(ckpt::StateWriter& w) const;
-  void load_state(ckpt::StateReader& r);
 
  private:
   FaultSchedule schedule_;

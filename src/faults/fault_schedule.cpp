@@ -6,7 +6,6 @@
 #include <limits>
 #include <sstream>
 
-#include "ckpt/state_io.hpp"
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 
@@ -97,8 +96,7 @@ FaultSchedule FaultSchedule::generate(const FaultSpec& spec,
   FaultSchedule sched;
   sched.spec_ = spec;
   // A disabled spec keeps the inert default model: its activation_scale is
-  // exactly 1.0, so the loop below reproduces the independent schedule, and
-  // save_state writes no storm section.
+  // exactly 1.0, so the loop below reproduces the independent schedule.
   if (corr.enabled()) sched.storm_ = StormModel(spec, corr, horizon, epoch);
   // A zero spec stays fault-free: correlation modulates intensities, it
   // cannot conjure faults from none.
@@ -293,64 +291,6 @@ FaultSchedule FaultSchedule::from_csv(const std::string& text) {
   }
   sched.build_index();
   return sched;
-}
-
-void FaultSchedule::save_state(ckpt::StateWriter& w) const {
-  w.begin_section("fault_schedule", kStateVersion);
-  for (const FaultClass c : all_fault_classes()) w.f64(spec_.intensity(c));
-  w.u64(spec_.seed);
-  const bool correlated = storm_.spec().enabled();
-  w.boolean(correlated);
-  if (correlated) storm_.save_state(w);
-  w.u64(events_.size());
-  for (const FaultEvent& ev : events_) {
-    w.u8(std::uint8_t(ev.cls));
-    w.f64(ev.start.value());
-    w.f64(ev.duration.value());
-    w.f64(ev.magnitude);
-    w.i64(ev.target);
-    w.u8(std::uint8_t(ev.origin));
-  }
-  w.end_section();
-}
-
-void FaultSchedule::load_state(ckpt::StateReader& r) {
-  r.begin_section("fault_schedule", kStateVersion);
-  FaultSpec spec;
-  for (const FaultClass c : all_fault_classes()) {
-    spec.set_intensity(c, r.f64());
-  }
-  spec.seed = r.u64();
-  StormModel storm;
-  if (r.boolean()) storm.load_state(r);
-  const auto n = std::size_t(r.u64());
-  std::vector<FaultEvent> events;
-  events.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    FaultEvent ev;
-    const std::uint8_t cls = r.u8();
-    if (cls >= std::uint8_t(kNumFaultClasses)) {
-      throw ckpt::SnapshotError("fault schedule snapshot holds invalid "
-                                "class " + std::to_string(int(cls)));
-    }
-    ev.cls = FaultClass(cls);
-    ev.start = Seconds(r.f64());
-    ev.duration = Seconds(r.f64());
-    ev.magnitude = r.f64();
-    ev.target = int(r.i64());
-    const std::uint8_t origin = r.u8();
-    if (origin > std::uint8_t(FaultOrigin::Cascade)) {
-      throw ckpt::SnapshotError("fault schedule snapshot holds invalid "
-                                "origin " + std::to_string(int(origin)));
-    }
-    ev.origin = FaultOrigin(origin);
-    events.push_back(ev);
-  }
-  r.end_section();
-  spec_ = spec;
-  storm_ = std::move(storm);
-  events_ = std::move(events);
-  build_index();
 }
 
 }  // namespace gs::faults

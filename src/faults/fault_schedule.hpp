@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/fwd.hpp"
 #include "common/units.hpp"
 #include "faults/correlation.hpp"
 #include "faults/fault_spec.hpp"
@@ -123,13 +122,6 @@ class FaultSchedule {
   /// The realized latent processes (inert unless generate() ran with an
   /// enabled spec).
   [[nodiscard]] const StormModel& storm() const { return storm_; }
-
-  // --- Checkpoint/restore (src/ckpt): binary round-trip of the spec, the
-  // realized storm model and the full event stream (bit-exact, unlike the
-  // human-readable CSV). v2 adds per-event origins and the storm model.
-  static constexpr std::uint32_t kStateVersion = 2;
-  void save_state(ckpt::StateWriter& w) const;
-  void load_state(ckpt::StateReader& r);
 
  private:
   /// Derives by_start_ and longest_ from events_; every assignment of

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ckpt/state_io.hpp"
 #include "common/assert.hpp"
 #include "power/battery_math.hpp"
 
@@ -89,24 +88,6 @@ void Battery::set_charge_derate(double factor) {
   GS_REQUIRE(factor > 0.0 && factor <= 1.0,
              "charge derate factor must be in (0,1]");
   charge_derate_ = factor;
-}
-
-void Battery::save_state(ckpt::StateWriter& w) const {
-  w.begin_section("battery", kStateVersion);
-  w.f64(used_ah_);
-  w.f64(lifetime_discharge_ah_);
-  w.f64(capacity_fade_);
-  w.f64(charge_derate_);
-  w.end_section();
-}
-
-void Battery::load_state(ckpt::StateReader& r) {
-  r.begin_section("battery", kStateVersion);
-  used_ah_ = r.f64();
-  lifetime_discharge_ah_ = r.f64();
-  capacity_fade_ = r.f64();
-  charge_derate_ = r.f64();
-  r.end_section();
 }
 
 }  // namespace gs::power

@@ -13,9 +13,6 @@
 //    analysis (Fig. 11).
 #pragma once
 
-#include <cstdint>
-
-#include "ckpt/fwd.hpp"
 #include "common/units.hpp"
 
 namespace gs::power {
@@ -89,11 +86,6 @@ class Battery {
   /// Set the charge-efficiency multiplier in (0, 1].
   void set_charge_derate(double factor);
   [[nodiscard]] double charge_derate() const { return charge_derate_; }
-
-  // --- Checkpoint/restore (src/ckpt) --------------------------------------
-  static constexpr std::uint32_t kStateVersion = 1;
-  void save_state(ckpt::StateWriter& w) const;
-  void load_state(ckpt::StateReader& r);
 
  private:
   /// Effective (Peukert-corrected) current for a real current draw.

@@ -49,7 +49,7 @@ double BatteryBank::total_equivalent_cycles() const {
 
 void BatteryBank::save_state_element(ckpt::StateWriter& w,
                                      std::size_t i) const {
-  w.begin_section("battery", Battery::kStateVersion);
+  w.begin_section("battery", kStateVersion);
   w.f64(used_ah_[i]);
   w.f64(lifetime_ah_[i]);
   w.f64(fade_[i]);
@@ -58,7 +58,7 @@ void BatteryBank::save_state_element(ckpt::StateWriter& w,
 }
 
 void BatteryBank::load_state_element(ckpt::StateReader& r, std::size_t i) {
-  r.begin_section("battery", Battery::kStateVersion);
+  r.begin_section("battery", kStateVersion);
   used_ah_[i] = r.f64();
   lifetime_ah_[i] = r.f64();
   fade_[i] = r.f64();

@@ -67,9 +67,10 @@ class BatteryBank {
   }
 
   // --- Checkpoint/restore (src/ckpt) --------------------------------------
-  // One element's snapshot is byte-identical to Battery::save_state, so a
-  // bank-backed cluster reads (and writes) the same cluster snapshots as
-  // the historical vector<Battery> layout.
+  // One `battery` section per element; GreenCluster writes one per green
+  // server. The layout is the one the scalar Battery's snapshot used, so
+  // cluster snapshots written before the bank existed still load.
+  static constexpr std::uint32_t kStateVersion = 1;
   void save_state_element(ckpt::StateWriter& w, std::size_t i) const;
   void load_state_element(ckpt::StateReader& r, std::size_t i);
 

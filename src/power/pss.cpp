@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ckpt/state_io.hpp"
 #include "common/assert.hpp"
 
 namespace gs::power {
@@ -137,29 +136,6 @@ PssSettlement PowerSourceSelector::settle(Watts demand, Watts re_supply,
                                           const PssFaultState& fault) const {
   return settle_impl(cfg_, demand, re_supply, battery, grid, dt, bursting,
                      grid_fallback_cap, fault);
-}
-
-Watts PowerSourceSelector::plannable_supply(Watts re_predicted,
-                                            const Battery& battery,
-                                            Seconds dt) {
-  return re_predicted + battery.max_discharge_power(dt);
-}
-
-void PowerSourceSelector::save_state(ckpt::StateWriter& w) const {
-  w.begin_section("pss", kStateVersion);
-  w.boolean(cfg_.grid_charging);
-  w.end_section();
-}
-
-void PowerSourceSelector::load_state(ckpt::StateReader& r) {
-  r.begin_section("pss", kStateVersion);
-  const bool grid_charging = r.boolean();
-  r.end_section();
-  if (grid_charging != cfg_.grid_charging) {
-    throw ckpt::SnapshotError(
-        "pss configuration mismatch: snapshot grid_charging differs from "
-        "the configured selector");
-  }
 }
 
 }  // namespace gs::power

@@ -18,9 +18,6 @@
 // sprint intensity.
 #pragma once
 
-#include <cstdint>
-
-#include "ckpt/fwd.hpp"
 #include "common/units.hpp"
 #include "power/battery.hpp"
 #include "power/battery_bank.hpp"
@@ -91,22 +88,7 @@ class PowerSourceSelector {
                        Watts grid_fallback_cap = Watts(0.0),
                        const PssFaultState& fault = {}) const;
 
-  /// Power the strategies may plan against for the next epoch: predicted
-  /// renewable + sustainable battery power (green bus only; the grid
-  /// backstop applies only to Normal-mode fallback).
-  [[nodiscard]] static Watts plannable_supply(Watts re_predicted,
-                                              const Battery& battery,
-                                              Seconds dt);
-
   [[nodiscard]] const PssConfig& config() const { return cfg_; }
-
-  // --- Checkpoint/restore (src/ckpt) --------------------------------------
-  // The PSS carries no dynamic state (settle() is const); the snapshot
-  // records the configuration so a resume against a PSS wired differently
-  // fails loudly instead of settling epochs with different arithmetic.
-  static constexpr std::uint32_t kStateVersion = 1;
-  void save_state(ckpt::StateWriter& w) const;
-  void load_state(ckpt::StateReader& r);
 
  private:
   PssConfig cfg_;

@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "ckpt/common_state.hpp"
 #include "ckpt/state_io.hpp"
 #include "common/assert.hpp"
 #include "common/stats.hpp"
@@ -369,64 +368,6 @@ BurstResult BurstSim::finish() {
   for (const Seconds& s : result_.fault_class_downtime) downtime += s;
   result_.fault_downtime = downtime;
   return std::move(result_);
-}
-
-void BurstSim::save_state(ckpt::StateWriter& w) const {
-  w.begin_section("burst_sim", kStateVersion);
-  w.u64(scenario_fingerprint(sc_));
-  w.u64(epoch_);
-  w.boolean(prev_disturbance_);
-  w.f64(last_sensed_load_);
-  w.boolean(thermal_limited_);
-  w.f64(normal_goodput_sum_);
-  ckpt::save_rng(w, des_rng_);
-  w.boolean(battery_.has_value());
-  batt().save_state(w);
-  grid_.save_state(w);
-  pss_.save_state(w);
-  controller_.save_state(w);
-  pcm_.save_state(w);
-  injector_.save_state(w);
-  for (const bool a : prev_fault_active_) w.boolean(a);
-  for (const bool a : prev_corr_active_) w.boolean(a);
-  save_burst_result(w, result_);
-  w.end_section();
-}
-
-void BurstSim::load_state(ckpt::StateReader& r) {
-  r.begin_section("burst_sim", kStateVersion);
-  const std::uint64_t fp = r.u64();
-  if (fp != scenario_fingerprint(sc_)) {
-    throw ckpt::SnapshotError(
-        "burst snapshot was taken under a different scenario "
-        "(fingerprint mismatch)");
-  }
-  const auto at = std::size_t(r.u64());
-  if (at > n_epochs_) {
-    throw ckpt::SnapshotError("burst snapshot epoch index " +
-                              std::to_string(at) + " exceeds burst length " +
-                              std::to_string(n_epochs_));
-  }
-  epoch_ = at;
-  prev_disturbance_ = r.boolean();
-  last_sensed_load_ = r.f64();
-  thermal_limited_ = r.boolean();
-  normal_goodput_sum_ = r.f64();
-  ckpt::load_rng(r, des_rng_);
-  if (r.boolean() != battery_.has_value()) {
-    throw ckpt::SnapshotError(
-        "burst snapshot battery provisioning does not match the scenario");
-  }
-  batt().load_state(r);
-  grid_.load_state(r);
-  pss_.load_state(r);
-  controller_.load_state(r);
-  pcm_.load_state(r);
-  injector_.load_state(r);
-  for (bool& a : prev_fault_active_) a = r.boolean();
-  for (bool& a : prev_corr_active_) a = r.boolean();
-  result_ = load_burst_result(r);
-  r.end_section();
 }
 
 BurstResult run_burst(const Scenario& sc) {

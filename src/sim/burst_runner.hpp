@@ -16,13 +16,13 @@
 //
 // The loop is exposed two ways: run_burst() executes a scenario in one
 // call, and BurstSim is the stepwise form behind it — construct, step()
-// per epoch, finish() — whose save_state/load_state snapshots make long
-// campaigns resumable after a kill (src/ckpt).
+// per epoch, finish(). A burst is not checkpointed mid-run: it recomputes
+// whole in microseconds, so the checkpointed sweep persists only finished
+// results (save_burst_result).
 #pragma once
 
 #include <array>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -92,25 +92,16 @@ struct BurstResult {
   std::array<std::size_t, 3> health_state_epochs{};
 };
 
-/// Stepwise burst simulation. Equivalent to run_burst() when driven to
-/// completion; additionally checkpointable between epochs:
+/// Stepwise burst simulation, equivalent to run_burst() when driven to
+/// completion:
 ///
 ///   BurstSim sim(sc);                  // substrate setup + warmup
 ///   while (!sim.done()) sim.step();    // one scheduling epoch each
 ///   BurstResult r = sim.finish();
-///
-/// save_state() captures every mutable field (battery, grid, controller,
-/// DES RNG, PCM, fault edges, the result recorded so far); a fresh
-/// BurstSim over the same Scenario + load_state() continues bit-identically,
-/// which is the kill-at-any-epoch resume guarantee the ckpt subsystem and
-/// the resume-integrity CI lane enforce. The snapshot embeds
-/// scenario_fingerprint(), so loading against a different scenario throws
-/// ckpt::SnapshotError.
 class BurstSim {
  public:
   explicit BurstSim(const Scenario& scenario);
 
-  [[nodiscard]] std::size_t epoch_index() const { return epoch_; }
   [[nodiscard]] std::size_t num_epochs() const { return n_epochs_; }
   [[nodiscard]] bool done() const { return epoch_ >= n_epochs_; }
 
@@ -119,13 +110,6 @@ class BurstSim {
 
   /// Aggregate the burst statistics. Requires done().
   [[nodiscard]] BurstResult finish();
-
-  // --- Checkpoint/restore (src/ckpt). v2 adds the correlated-burst edge
-  // detector state; v3 drops the nested monitor section, whose counters
-  // now accumulate in the in-progress result.
-  static constexpr std::uint32_t kStateVersion = 3;
-  void save_state(ckpt::StateWriter& w) const;
-  void load_state(ckpt::StateReader& r);
 
  private:
   [[nodiscard]] Watts re_share(Seconds t) const;

@@ -119,9 +119,8 @@ class GreenCluster {
   // The snapshot carries the dynamic state only (batteries, controllers,
   // grid, deficit flags); load_state requires a cluster constructed from
   // the same (app, config) and throws ckpt::SnapshotError on a server-count
-  // mismatch. The battery bank writes per-element sections byte-identical
-  // to the historical vector<Battery> layout, so snapshots interchange
-  // across the SoA refactor.
+  // mismatch. Each green server's battery is one BatteryBank element
+  // section (power/battery_bank.hpp).
   static constexpr std::uint32_t kStateVersion = 1;
   void save_state(ckpt::StateWriter& w) const;
   void load_state(ckpt::StateReader& r);

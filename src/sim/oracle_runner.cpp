@@ -30,9 +30,11 @@ OracleResult run_oracle(const Scenario& sc) {
   // Fault injection: the oracle is clairvoyant, so it plans against the
   // *faulted* renewable supply (per-epoch solar derate) and the worst
   // battery fade seen over the burst — the offline-optimal bound under the
-  // same failure history the online strategies face. The all-zero default
-  // spec keeps the exact fault-free arithmetic.
-  const faults::FaultInjector injector(sc.faults, sc.burst_duration, sc.epoch,
+  // same failure history the online strategies face, correlated processes
+  // included (built exactly as BurstSim builds its injector). The all-zero
+  // default spec keeps the exact fault-free arithmetic.
+  const faults::FaultInjector injector(sc.faults, sc.fault_correlation,
+                                       sc.burst_duration, sc.epoch,
                                        /*servers=*/1);
   double min_battery_factor = 1.0;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "ckpt/state_io.hpp"
 #include "common/assert.hpp"
 
 namespace gs::thermal {
@@ -49,18 +48,6 @@ Seconds PcmBuffer::time_to_saturation(Watts power) const {
     return Seconds(std::numeric_limits<double>::infinity());
   }
   return (cfg_.latent_capacity - stored_) / excess;
-}
-
-void PcmBuffer::save_state(ckpt::StateWriter& w) const {
-  w.begin_section("pcm", kStateVersion);
-  w.f64(stored_.value());
-  w.end_section();
-}
-
-void PcmBuffer::load_state(ckpt::StateReader& r) {
-  r.begin_section("pcm", kStateVersion);
-  stored_ = Joules(r.f64());
-  r.end_section();
 }
 
 }  // namespace gs::thermal

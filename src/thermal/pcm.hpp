@@ -8,9 +8,6 @@
 // before 60-minute sprints hit the thermal wall.
 #pragma once
 
-#include <cstdint>
-
-#include "ckpt/fwd.hpp"
 #include "common/units.hpp"
 
 namespace gs::thermal {
@@ -47,11 +44,6 @@ class PcmBuffer {
   [[nodiscard]] Seconds time_to_saturation(Watts power) const;
 
   [[nodiscard]] const PcmConfig& config() const { return cfg_; }
-
-  // --- Checkpoint/restore (src/ckpt) --------------------------------------
-  static constexpr std::uint32_t kStateVersion = 1;
-  void save_state(ckpt::StateWriter& w) const;
-  void load_state(ckpt::StateReader& r);
 
  private:
   PcmConfig cfg_;

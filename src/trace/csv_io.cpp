@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -27,6 +28,10 @@ double parse_row(const std::string& line, char delimiter, std::size_t lineno) {
                  "trailing garbage in CSV value at line " +
                      std::to_string(lineno));
     }
+    // stod accepts "nan" and "inf"; either would pass through the peak
+    // normalization below as a silent 0 or poison every sample.
+    GS_REQUIRE(std::isfinite(v),
+               "non-finite CSV value at line " + std::to_string(lineno));
     return v;
   } catch (const std::invalid_argument&) {
     GS_REQUIRE(false,

@@ -90,9 +90,8 @@ def run_mutation() -> None:
 
         # Append one field to BOTH sides of the "grid" section — a
         # well-formed schema change, just without its version bump. (Grid
-        # is a single-site section; a section written from several sites,
-        # like "battery", would additionally trip the sibling-layout
-        # consistency check.)
+        # is a single-site section; a section written from several sites
+        # would additionally trip the sibling-layout consistency check.)
         grid = tmp / "src" / "power" / "grid.cpp"
         text = grid.read_text(encoding="utf-8")
         save_needle = "w.f64(budget_derate_);"

@@ -134,19 +134,6 @@ TEST(StateIo, ReadPastSectionEndThrows) {
   EXPECT_THROW((void)r.u64(), SnapshotError);
 }
 
-TEST(StateIo, RngRoundTripContinuesIdentically) {
-  Rng original = Rng::stream(1234, {5, 6});
-  for (int i = 0; i < 17; ++i) (void)original();
-
-  StateWriter w;
-  save_rng(w, original);
-  Rng restored;
-  StateReader r(w.buffer());
-  load_rng(r, restored);
-
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(original(), restored());
-}
-
 TEST(StateIo, EwmaRoundTrip) {
   Ewma e(0.3);
   e.observe(10.0);

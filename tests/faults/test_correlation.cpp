@@ -1,13 +1,12 @@
 // Correlated fault storms (faults/correlation): spec parsing, latent-model
-// properties, cascade propagation bounds, determinism across thread
-// counts, and checkpoint round-trips. (That a disabled spec yields the
-// independent schedule is pinned in test_fault_schedule.cpp.)
+// properties, cascade propagation bounds and determinism across thread
+// counts. (That a disabled spec yields the independent schedule is pinned
+// in test_fault_schedule.cpp.)
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
-#include "ckpt/state_io.hpp"
 #include "common/assert.hpp"
 #include "common/thread_pool.hpp"
 #include "faults/correlation.hpp"
@@ -269,50 +268,6 @@ TEST(GenerateCorrelated, CorrelatedActiveSkipsIndependentEvents) {
         plain.correlated_active(ev.cls, ev.start + ev.duration * 0.5,
                                 ev.target));
   }
-}
-
-TEST(StormModelCkpt, RoundTripIsBitExact) {
-  const auto spec = FaultSpec::uniform(0.4, 9);
-  const StormModel original(spec, storm_spec(), kHorizon, kEpoch);
-  ckpt::StateWriter w;
-  original.save_state(w);
-  StormModel restored;
-  ckpt::StateReader r(w.buffer());
-  restored.load_state(r);
-  EXPECT_TRUE(r.at_end());
-  EXPECT_EQ(restored.spec().to_string(), original.spec().to_string());
-  ASSERT_EQ(restored.fronts().size(), original.fronts().size());
-  for (std::size_t i = 0; i < original.fronts().size(); ++i) {
-    EXPECT_EQ(restored.fronts()[i].start.value(),
-              original.fronts()[i].start.value());
-    EXPECT_EQ(restored.fronts()[i].duration.value(),
-              original.fronts()[i].duration.value());
-    EXPECT_EQ(restored.fronts()[i].intensity, original.fronts()[i].intensity);
-  }
-  ASSERT_EQ(restored.regimes().size(), original.regimes().size());
-  for (std::size_t i = 0; i < original.regimes().size(); ++i) {
-    EXPECT_EQ(restored.regimes()[i].start.value(),
-              original.regimes()[i].start.value());
-    EXPECT_EQ(restored.regimes()[i].end.value(),
-              original.regimes()[i].end.value());
-  }
-}
-
-TEST(ScheduleCkpt, CorrelatedScheduleRoundTripsWithStorm) {
-  const auto spec = FaultSpec::uniform(0.5, 13);
-  const auto original = FaultSchedule::generate(
-      spec, storm_spec(), kHorizon, kEpoch, 8);
-  ASSERT_FALSE(original.empty());
-  ckpt::StateWriter w;
-  original.save_state(w);
-  FaultSchedule restored;
-  ckpt::StateReader r(w.buffer());
-  restored.load_state(r);
-  EXPECT_TRUE(r.at_end());
-  EXPECT_TRUE(events_identical(original, restored));
-  EXPECT_EQ(restored.correlation().to_string(),
-            original.correlation().to_string());
-  ASSERT_EQ(restored.storm().fronts().size(), original.storm().fronts().size());
 }
 
 }  // namespace

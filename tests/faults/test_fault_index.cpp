@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "ckpt/state_io.hpp"
 #include "common/rng.hpp"
 #include "faults/fault_injector.hpp"
 
@@ -273,24 +272,6 @@ TEST(FaultIndex, CsvReplayInAnyRowOrderMatchesLinearScan) {
   // The row order must matter somewhere, or this test could not tell an
   // events()-order walk from a start-order one.
   EXPECT_GT(order_sensitive, 0u);
-}
-
-TEST(FaultIndex, SaveLoadRoundTripKeepsTheIndex) {
-  const Seconds horizon = kEpoch * 180.0;
-  const FaultInjector gen(
-      FaultSpec::uniform(0.5, 11),
-      CorrelationSpec::parse("storm=0.8,cascade=0.5,regime_on=0.15"), horizon,
-      kEpoch, 8);
-  ckpt::StateWriter w;
-  gen.save_state(w);
-  FaultInjector restored;
-  ckpt::StateReader r(w.buffer());
-  restored.load_state(r);
-  for (const Seconds t : probe_times(gen.schedule(), horizon, kEpoch)) {
-    ASSERT_EQ(flatten(restored.at(t)), flatten(gen.at(t)))
-        << "at(" << t.value() << ")";
-  }
-  expect_matches_scan(restored, 8, horizon, kEpoch);
 }
 
 TEST(FaultIndex, HandWrittenEdgeRowsMatchLinearScan) {

@@ -106,12 +106,6 @@ TEST_F(PssFixture, IdleEpoch) {
   EXPECT_DOUBLE_EQ(s.re_used.value(), 0.0);
 }
 
-TEST_F(PssFixture, PlannableSupplyCombinesSources) {
-  const Watts supply = PowerSourceSelector::plannable_supply(
-      Watts(100.0), battery, epoch);
-  EXPECT_GT(supply.value(), 100.0);  // battery adds headroom
-}
-
 TEST_F(PssFixture, CaseTransitionSequenceMatchesFigureFour) {
   // Scripted T1..T4 walk: abundant RE -> fading RE -> none -> recovery.
   const auto s1 = pss.settle(Watts(150.0), Watts(211.0), battery, grid,

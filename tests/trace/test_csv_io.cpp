@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 #include <unistd.h>
 
 #include "common/assert.hpp"
@@ -84,6 +85,38 @@ TEST(CsvIo, NormalizedValueOutOfRangeThrows) {
   // Peak 1.5 < raw threshold 2.0, so it is treated as a fraction and must
   // be rejected.
   EXPECT_THROW((void)load_solar_csv(in), gs::ContractError);
+}
+
+/// The message load_solar_csv throws for `text` (header row first), or
+/// "" when it loads.
+std::string load_error(const std::string& text) {
+  std::istringstream in(text);
+  SolarCsvOptions opts;
+  opts.has_header = true;
+  try {
+    (void)load_solar_csv(in, opts);
+  } catch (const gs::ContractError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CsvIo, NanAmongRawRowsIsRefusedWithItsLine) {
+  // Unchecked, the NaN normalizes to a silent 0 (1 0 0.5).
+  const std::string err = load_error("time,ghi\n0,100\n60,nan\n120,50\n");
+  EXPECT_TRUE(err.ends_with("non-finite CSV value at line 3")) << err;
+}
+
+TEST(CsvIo, NanFirstRowIsRefusedWithItsLine) {
+  // Unchecked, the NaN is blamed on the [0,1] range check instead.
+  const std::string err = load_error("time,ghi\n0,nan\n60,0.5\n");
+  EXPECT_TRUE(err.ends_with("non-finite CSV value at line 2")) << err;
+}
+
+TEST(CsvIo, InfRowIsRefusedWithItsLine) {
+  // Unchecked, the infinite peak divides every sample (0 -nan 0).
+  const std::string err = load_error("time,ghi\n0,100\n60,inf\n120,50\n");
+  EXPECT_TRUE(err.ends_with("non-finite CSV value at line 3")) << err;
 }
 
 TEST(CsvIo, MissingFileThrows) {

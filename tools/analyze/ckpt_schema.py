@@ -2,7 +2,7 @@
 
 Every checkpoint section is a `begin_section(name, version)` call followed
 by an ordered sequence of writer ops (`w.f64(...)`, nested component
-saves, shared helpers like `ckpt::save_rng`). PRs 4-7 enforced "bump
+saves, shared helpers like `ckpt::save_ewma`). PRs 4-7 enforced "bump
 kStateVersion whenever that sequence changes" by hand review; this pass
 extracts the sequence for every site, snapshots it in
 tools/ckpt_schema.lock, and fails when a committed field list drifts
@@ -231,7 +231,7 @@ def _extract_function(project: Project, fn: FunctionDef, writers: set[str],
 
     out: list[Entry] = []
     # The implicit top-level entry collects ops outside any section (shared
-    # helpers like save_rng have no section of their own).
+    # helpers like save_ewma have no section of their own).
     top = Entry(kind="helper", key=fn.qualname,
                 qualname=fn.qualname, rel=fn.rel, line=fn.line, side=side)
     stack: list[Entry] = [top]

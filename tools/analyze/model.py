@@ -74,7 +74,7 @@ class ClassInfo:
 @dataclass
 class FunctionDef:
     name: str  # unqualified
-    qualname: str  # e.g. Battery::save_state
+    qualname: str  # e.g. Grid::save_state
     class_name: str | None
     rel: str
     line: int
