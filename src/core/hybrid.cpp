@@ -252,28 +252,55 @@ void HybridStrategy::feedback(const EpochFeedback& fb) {
 
 namespace {
 
+/// The row maximum exactly as std::max_element picks it (the first of
+/// equal maxima; a NaN first entry is the result, a later NaN is skipped),
+/// and how many entries compare equal to it.
+void scan_row_max(const double* row, std::size_t actions, double& max,
+                  std::size_t& ties) {
+  max = row[0];
+  ties = 1;
+  for (std::size_t a = 1; a < actions; ++a) {
+    if (max < row[a]) {
+      max = row[a];
+      ties = 1;
+    } else if (row[a] == max) {
+      ++ties;
+    }
+  }
+}
+
 // All seed_sweeps bootstrap passes over one Q-table row. Each update is
 // exactly QTable::update(state, a, reward, state, cfg): the quasi-static
 // bootstrap reads only its own row, so processing a row to completion
 // before the next (instead of interleaving rows sweep-by-sweep) reorders
 // independent operations and is bit-identical to the historical nesting.
-// The row maximum is carried incrementally: a write can only raise the
-// max (new value), keep it, or — when it overwrote the previous max —
-// force one rescan; every value the update reads is therefore identical
-// to what a fresh std::max_element scan would produce.
+// The row maximum m is carried incrementally with `ties`, the number of
+// entries equal to it. A write can raise m (the new value), equal it (one
+// more tie), or lower an entry that held it (one tie fewer); the row is
+// rescanned only when no entry holds m any more, or when the write stored
+// a NaN (an inf minus inf), which a rescan must see if it landed first.
+// Every m the update reads therefore equals what a fresh max_element scan
+// would return, up to which zero wins a +0/-0 tie, which cannot change a
+// stored value (DESIGN.md §9).
 void seed_row(double* row, const double* rewards, std::size_t actions,
               int sweeps, const QLearningConfig& cfg) {
-  double m = *std::max_element(row, row + actions);
+  double m = 0.0;
+  std::size_t ties = 0;
+  scan_row_max(row, actions, m, ties);
   for (int sweep = 0; sweep < sweeps; ++sweep) {
     for (std::size_t a = 0; a < actions; ++a) {
       const double old = row[a];
       const double target = rewards[a] + cfg.discount * m;
       const double v = old + cfg.learning_rate * (target - old);
       row[a] = v;
-      if (v >= m) {
+      if (v > m) {
         m = v;
-      } else if (old == m) {
-        m = *std::max_element(row, row + actions);
+        ties = 1;
+      } else if (v == m) {
+        if (old != m) ++ties;
+        m = v;
+      } else if (old == m && (--ties == 0 || std::isnan(v))) {
+        scan_row_max(row, actions, m, ties);
       }
     }
   }

@@ -96,7 +96,6 @@ trace::SolarTraceConfig day_solar_config(const DayRunConfig& cfg) {
 
 DaySim::DaySim(const DayRunConfig& cfg)
     : cfg_(validated(cfg)),
-      solar_(trace::shared_solar_trace(day_solar_config(cfg_))),
       array_({cfg_.panels, Watts(275.0), 0.77}),
       cluster_(workload::specjbb(), cfg_.cluster),
       lambda_burst_(cluster_.perf().intensity_load(server::kMaxCores)),
@@ -113,7 +112,10 @@ DaySim::DaySim(const DayRunConfig& cfg)
 
 void DaySim::step() { step_live(planned_epoch(t_)); }
 
-LiveEpoch DaySim::planned_epoch(Seconds t) const {
+LiveEpoch DaySim::planned_epoch(Seconds t) {
+  // Fetched here, not in the constructor: a sim fed only through
+  // step_live (the serve daemon) never reads the synthetic trace.
+  if (!solar_) solar_ = trace::shared_solar_trace(day_solar_config(cfg_));
   const double day_offset = std::fmod(t.value(), 86400.0);
   const bool in_burst = std::any_of(
       cfg_.daily_bursts.begin(), cfg_.daily_bursts.end(),

@@ -103,9 +103,11 @@ class DaySim {
   /// Equivalent to step_live(planned_epoch(now())).
   void step();
 
-  /// The exogenous inputs step() would synthesize for epoch time `t`
-  /// (pure; does not advance the sim).
-  [[nodiscard]] LiveEpoch planned_epoch(Seconds t) const;
+  /// The exogenous inputs step() would synthesize for epoch time `t`.
+  /// Does not advance the sim. The first call fetches the campaign's
+  /// synthetic solar trace from the substrate cache (built on a miss), so
+  /// a sim fed only through step_live() never builds one; hence non-const.
+  [[nodiscard]] LiveEpoch planned_epoch(Seconds t);
 
   /// Simulate the next epoch from externally supplied inputs (the serve
   /// daemon's socket feed). Requires !done(). Feeding back planned_epoch
@@ -155,6 +157,7 @@ class DaySim {
 
  private:
   DayRunConfig cfg_;
+  /// Null until the first planned_epoch() call.
   std::shared_ptr<const trace::SolarTrace> solar_;
   power::SolarArray array_;
   GreenCluster cluster_;

@@ -14,19 +14,29 @@ SolarTrace::SolarTrace(std::vector<double> samples, Seconds period)
   GS_REQUIRE(period.value() > 0.0, "solar trace period must be positive");
 }
 
+namespace {
+
+/// floor(x) clamped to [0, n]. The bounds are checked in double first:
+/// converting a double outside size_t's range is undefined. NaN maps to 0.
+std::size_t clamped_index(double x, std::size_t n) {
+  if (!(x > 0.0)) return 0;
+  if (x >= double(n)) return n;
+  return std::size_t(x);
+}
+
+}  // namespace
+
 double SolarTrace::at(Seconds t) const {
-  const double idx = t.value() / period_.value();
-  const auto i = idx <= 0.0 ? std::size_t{0}
-                            : std::min(samples_.size() - 1, std::size_t(idx));
-  return samples_[i];
+  return samples_[clamped_index(t.value() / period_.value(),
+                                samples_.size() - 1)];
 }
 
 double SolarTrace::mean(Seconds start, Seconds len) const {
   GS_REQUIRE(len.value() > 0.0, "window length must be positive");
-  const auto first = std::size_t(std::max(0.0, start.value()) /
-                                 period_.value());
-  auto last = std::size_t((start.value() + len.value()) / period_.value());
-  last = std::min(last, samples_.size());
+  const std::size_t first = clamped_index(
+      std::max(0.0, start.value()) / period_.value(), samples_.size());
+  const std::size_t last = clamped_index(
+      (start.value() + len.value()) / period_.value(), samples_.size());
   if (first >= last) return at(start);
   double sum = 0.0;
   for (std::size_t i = first; i < last; ++i) sum += samples_[i];
@@ -97,17 +107,22 @@ SolarTrace generate_solar_trace(const SolarTraceConfig& cfg) {
   std::vector<double> out;
   out.reserve(samples_per_day * std::size_t(cfg.days));
 
+  // The envelope depends only on the sample's place in the day, so every
+  // day reads the same values: evaluate each once, not once per day.
+  std::vector<double> envelope(samples_per_day);
+  for (std::size_t s = 0; s < samples_per_day; ++s) {
+    envelope[s] = clear_sky_envelope(double(s) * period_s / 3600.0, cfg);
+  }
+
   for (int d = 0; d < cfg.days; ++d) {
     const Regime reg = regime_for(regimes[std::size_t(d)], cfg);
     double transmittance = reg.mean;
     for (std::size_t s = 0; s < samples_per_day; ++s) {
-      const double hour = double(s) * period_s / 3600.0;
-      const double envelope = clear_sky_envelope(hour, cfg);
       transmittance = cfg.cloud_persistence * transmittance +
                       (1.0 - cfg.cloud_persistence) * reg.mean +
                       reg.sigma * rng.normal();
       transmittance = std::clamp(transmittance, 0.0, 1.0);
-      out.push_back(std::clamp(envelope * transmittance, 0.0, 1.0));
+      out.push_back(std::clamp(envelope[s] * transmittance, 0.0, 1.0));
     }
   }
   return SolarTrace(std::move(out), cfg.sample_period);
@@ -244,7 +259,8 @@ std::optional<Seconds> find_window(const SolarTrace& trace, Seconds len,
   GS_REQUIRE(len.value() > 0.0, "window length must be positive");
   const double period = trace.period().value();
   const auto n = trace.samples().size();
-  const auto win = std::size_t(std::max(1.0, len.value() / period));
+  const std::size_t win =
+      clamped_index(std::max(1.0, len.value() / period), n + 1);
   if (win > n) return std::nullopt;
 
   // Sliding-window mean/variance at sample granularity. Among all windows

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -111,22 +112,51 @@ TEST(QTableTest, ViewCopiesARowOnFirstWrite) {
   EXPECT_THROW(QTable(3, 2, nullptr), gs::ContractError);
 }
 
-struct HybridFixture : ::testing::Test {
-  workload::AppDescriptor app = workload::specjbb();
-  workload::PerfModel perf{app};
-  server::ServerPowerModel power{Watts(76.0)};
-  ProfileTable table{perf, power};
-  HybridStrategy hybrid{table, app, power.idle_power()};
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-  EpochContext ctx(double supply_w, int intensity = 12) {
-    return {perf.intensity_load(intensity), Watts(supply_w), Seconds(60.0)};
+/// Replace a strategy's Q-table through its checkpoint path, which keeps
+/// every f64 bit pattern (-0 and NaN included).
+void install_table(HybridStrategy& h, const QTable& q) {
+  ckpt::StateWriter w;
+  w.begin_section("strategy.hybrid", Strategy::kStateVersion);
+  w.u64(q.num_states());
+  w.u64(q.num_actions());
+  for (std::size_t s = 0; s < q.num_states(); ++s) {
+    for (std::size_t a = 0; a < q.num_actions(); ++a) w.f64(q.value(s, a));
   }
-};
+  w.end_section();
+  ckpt::StateReader r(w.buffer());
+  h.load_state(r);
+}
+
+void expect_tables_bit_equal(const QTable& got, const QTable& want) {
+  ASSERT_EQ(got.num_states(), want.num_states());
+  ASSERT_EQ(got.num_actions(), want.num_actions());
+  for (std::size_t s = 0; s < want.num_states(); ++s) {
+    for (std::size_t a = 0; a < want.num_actions(); ++a) {
+      ASSERT_EQ(bits(got.value(s, a)), bits(want.value(s, a)))
+          << "state=" << s << " action=" << a;
+    }
+  }
+}
+
+/// A table with `q`'s values that shares nothing: every row is written,
+/// so none is read through a base.
+QTable unshared_copy(const QTable& q) {
+  QTable out(q.num_states(), q.num_actions());
+  for (std::size_t s = 0; s < q.num_states(); ++s) {
+    for (std::size_t a = 0; a < q.num_actions(); ++a) {
+      out.set(s, a, q.value(s, a));
+    }
+  }
+  return out;
+}
 
 // The historical bootstrap nesting (sweep-outermost over every state with
 // a full row rescan per update), written against the public QTable API.
 // The production kernel reorders independent row updates and carries the
-// row max incrementally; these tests pin exact equality.
+// row max and the count of entries equal to it; these tests pin exact
+// equality.
 void reference_seed_sweeps(QTable& q, const ProfileTable& table,
                            const workload::AppDescriptor& app, double idle_w,
                            std::size_t buckets, const QLearningConfig& cfg) {
@@ -154,18 +184,73 @@ void reference_seed_sweeps(QTable& q, const ProfileTable& table,
   }
 }
 
+/// A HybridStrategy over one app's profile, beside what it borrows.
+struct HybridRig {
+  explicit HybridRig(const workload::AppDescriptor& a,
+                     const QLearningConfig& c = {})
+      : app(a),
+        cfg(c),
+        perf(app),
+        table(perf, power),
+        hybrid(table, app, power.idle_power(), cfg) {}
+  // `hybrid` borrows `table`: a copy would read the original's.
+  HybridRig(const HybridRig&) = delete;
+  HybridRig& operator=(const HybridRig&) = delete;
+
+  /// The historical sweeps, over `ref` in place.
+  void reference_seed(QTable& ref) const {
+    reference_seed_sweeps(ref, table, app, power.idle_power().value(),
+                          hybrid.num_supply_buckets(), cfg);
+  }
+
+  workload::AppDescriptor app;
+  QLearningConfig cfg;
+  workload::PerfModel perf;
+  server::ServerPowerModel power{Watts(76.0)};
+  ProfileTable table;
+  HybridStrategy hybrid;
+};
+
+struct HybridFixture : ::testing::Test, HybridRig {
+  HybridFixture() : HybridRig(workload::specjbb()) {}
+
+  EpochContext ctx(double supply_w, int intensity = 12) {
+    return {perf.intensity_load(intensity), Watts(supply_w), Seconds(60.0)};
+  }
+};
+
+/// One seed-kernel input: an app's profile under a QLearningConfig.
+struct SeedCase {
+  workload::AppDescriptor app;
+  QLearningConfig cfg;
+  std::string name;
+};
+
+/// Every app under the defaults, and again with more bootstrap sweeps over
+/// a coarser supply grid.
+std::vector<SeedCase> seed_cases() {
+  QLearningConfig coarse;
+  coarse.seed_sweeps = 60;
+  coarse.supply_step = 0.1;
+  std::vector<SeedCase> out;
+  for (const workload::AppDescriptor& app :
+       {workload::specjbb(), workload::websearch(), workload::memcached()}) {
+    out.push_back({app, QLearningConfig{}, app.name + " defaults"});
+    out.push_back({app, coarse, app.name + " seed_sweeps=60 supply_step=0.1"});
+  }
+  return out;
+}
+
 TEST_F(HybridFixture, SeedKernelBitIdenticalToHistoricalSweeps) {
-  HybridStrategy::clear_seed_cache();
-  hybrid.seed_from_profile();
-  const QLearningConfig cfg;  // the fixture strategy runs the defaults
-  QTable ref(hybrid.table().num_states(), hybrid.table().num_actions());
-  reference_seed_sweeps(ref, table, app, power.idle_power().value(),
-                        hybrid.num_supply_buckets(), cfg);
-  for (std::size_t s = 0; s < ref.num_states(); ++s) {
-    for (std::size_t a = 0; a < ref.num_actions(); ++a) {
-      ASSERT_EQ(hybrid.table().value(s, a), ref.value(s, a))
-          << "state=" << s << " action=" << a;
-    }
+  for (const SeedCase& c : seed_cases()) {
+    SCOPED_TRACE(c.name);
+    HybridStrategy::clear_seed_cache();
+    HybridRig rig(c.app, c.cfg);
+    rig.hybrid.seed_from_profile();
+    QTable ref(rig.hybrid.table().num_states(),
+               rig.hybrid.table().num_actions());
+    rig.reference_seed(ref);
+    expect_tables_bit_equal(rig.hybrid.table(), ref);
   }
 }
 
@@ -173,33 +258,95 @@ TEST_F(HybridFixture, InPlaceReseedBitIdenticalToHistoricalSweeps) {
   // Seeding on top of learned values takes the in-place path (no fresh-
   // table health-slice replication); it must still match the historical
   // nesting exactly.
-  HybridStrategy::clear_seed_cache();
-  hybrid.seed_from_profile();
-  auto c = ctx(180.0);
-  EpochFeedback fb;
-  fb.context = c;
-  fb.action = hybrid.decide(c);
-  fb.power_demand = Watts(150.0);
-  fb.actual_supply = Watts(170.0);
-  fb.achieved_latency = Seconds(0.4);
-  fb.next_context = ctx(175.0, 10);
-  hybrid.feedback(fb);  // the table is now non-uniform across health slices
+  for (const SeedCase& c : seed_cases()) {
+    SCOPED_TRACE(c.name);
+    HybridStrategy::clear_seed_cache();
+    HybridRig rig(c.app, c.cfg);
+    rig.hybrid.seed_from_profile();
+    const EpochContext now{rig.perf.intensity_load(12), Watts(180.0),
+                           Seconds(60.0)};
+    EpochFeedback fb;
+    fb.context = now;
+    fb.action = rig.hybrid.decide(now);
+    fb.power_demand = Watts(150.0);
+    fb.actual_supply = Watts(170.0);
+    fb.achieved_latency = Seconds(0.4);
+    fb.next_context = {rig.perf.intensity_load(10), Watts(175.0),
+                       Seconds(60.0)};
+    rig.hybrid.feedback(fb);  // the table now differs across health slices
 
-  QTable ref(hybrid.table().num_states(), hybrid.table().num_actions());
-  for (std::size_t s = 0; s < ref.num_states(); ++s) {
-    for (std::size_t a = 0; a < ref.num_actions(); ++a) {
-      ref.set(s, a, hybrid.table().value(s, a));
-    }
+    QTable ref = unshared_copy(rig.hybrid.table());
+    rig.hybrid.seed_from_profile();  // in-place reseed
+    rig.reference_seed(ref);
+    expect_tables_bit_equal(rig.hybrid.table(), ref);
   }
-  hybrid.seed_from_profile();  // in-place reseed
-  const QLearningConfig cfg;
-  reference_seed_sweeps(ref, table, app, power.idle_power().value(),
-                        hybrid.num_supply_buckets(), cfg);
-  for (std::size_t s = 0; s < ref.num_states(); ++s) {
-    for (std::size_t a = 0; a < ref.num_actions(); ++a) {
-      ASSERT_EQ(hybrid.table().value(s, a), ref.value(s, a))
-          << "state=" << s << " action=" << a;
+}
+
+/// Rows real profiles never produce. After the first write of a fresh
+/// row, no update lands on a tie at the row maximum, so the seed kernel's
+/// tie count is exercised only by rows like these: several equal maxima,
+/// a +0/-0 pair holding the maximum (either sign first), a row of one
+/// value, an inf pair whose first write stores inf - inf = NaN, and a NaN
+/// after the first entry, which the maximum skips.
+QTable planted_table(std::size_t states, std::size_t actions) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  QTable q(states, actions);
+  std::vector<double> row(actions);
+  for (std::size_t s = 0; s < states; ++s) {
+    for (std::size_t a = 0; a < actions; ++a) {
+      row[a] = -1.0 - 0.01 * double(a);
     }
+    switch (s % 6) {
+      case 0:  // far above every target, so each write lowers one tie
+        for (const std::size_t a : {std::size_t(0), std::size_t(5),
+                                    actions / 2, actions - 1}) {
+          row[a] = 1000.0;
+        }
+        break;
+      case 1:
+        row[2] = -0.0;
+        row[actions - 3] = 0.0;
+        break;
+      case 2:
+        row[0] = 0.0;
+        row[7] = -0.0;
+        break;
+      case 3:
+        std::fill(row.begin(), row.end(), 2.5);
+        break;
+      case 4:
+        row[0] = inf;
+        row[9] = inf;
+        break;
+      default:
+        row[4] = nan;
+        row[actions / 3] = 7.0;
+        row[actions / 3 + 1] = 7.0;
+        break;
+    }
+    for (std::size_t a = 0; a < actions; ++a) q.set(s, a, row[a]);
+  }
+  return q;
+}
+
+TEST(HybridSeedKernel, InPlaceReseedOverPlantedRowsIsBitIdentical) {
+  std::vector<SeedCase> cases = seed_cases();
+  // Within one sweep the NaN an inf pair stores has not yet spread over its
+  // whole row, so the rescan the kernel owes the NaN shows in the values.
+  QLearningConfig one_sweep;
+  one_sweep.seed_sweeps = 1;
+  cases.push_back({workload::specjbb(), one_sweep,
+                   workload::specjbb().name + " seed_sweeps=1"});
+  for (const SeedCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    HybridRig rig(c.app, c.cfg);
+    QTable ref = planted_table(rig.hybrid.table().num_states(),
+                               rig.hybrid.table().num_actions());
+    install_table(rig.hybrid, ref);
+    rig.hybrid.seed_from_profile();
+    rig.reference_seed(ref);
+    expect_tables_bit_equal(rig.hybrid.table(), ref);
   }
 }
 
@@ -388,46 +535,6 @@ void reference_update(QTable& q, std::size_t state, std::size_t action,
   const double old = q.value(state, action);
   const double target = reward + cfg.discount * q.max_value(next_state);
   q.set(state, action, old + cfg.learning_rate * (target - old));
-}
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-/// Replace a strategy's Q-table through its checkpoint path, which keeps
-/// every f64 bit pattern (-0 and NaN included).
-void install_table(HybridStrategy& h, const QTable& q) {
-  ckpt::StateWriter w;
-  w.begin_section("strategy.hybrid", Strategy::kStateVersion);
-  w.u64(q.num_states());
-  w.u64(q.num_actions());
-  for (std::size_t s = 0; s < q.num_states(); ++s) {
-    for (std::size_t a = 0; a < q.num_actions(); ++a) w.f64(q.value(s, a));
-  }
-  w.end_section();
-  ckpt::StateReader r(w.buffer());
-  h.load_state(r);
-}
-
-void expect_tables_bit_equal(const QTable& got, const QTable& want) {
-  ASSERT_EQ(got.num_states(), want.num_states());
-  ASSERT_EQ(got.num_actions(), want.num_actions());
-  for (std::size_t s = 0; s < want.num_states(); ++s) {
-    for (std::size_t a = 0; a < want.num_actions(); ++a) {
-      ASSERT_EQ(bits(got.value(s, a)), bits(want.value(s, a)))
-          << "state=" << s << " action=" << a;
-    }
-  }
-}
-
-/// A table with `q`'s values that shares nothing: every row is written,
-/// so none is read through a base.
-QTable unshared_copy(const QTable& q) {
-  QTable out(q.num_states(), q.num_actions());
-  for (std::size_t s = 0; s < q.num_states(); ++s) {
-    for (std::size_t a = 0; a < q.num_actions(); ++a) {
-      out.set(s, a, q.value(s, a));
-    }
-  }
-  return out;
 }
 
 /// Drive `h` through `epochs` random decide/feedback epochs drawn from

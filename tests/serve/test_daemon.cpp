@@ -22,6 +22,7 @@
 #include "ckpt/rotation.hpp"
 #include "serve/protocol.hpp"
 #include "sim/day_runner.hpp"
+#include "trace/solar.hpp"
 
 namespace gs::serve {
 namespace {
@@ -524,6 +525,40 @@ TEST(ServeDaemon, MidStreamStopThenResumeReproducesBatch) {
     EXPECT_EQ(Client::field_u64(*reply, "completed"), 1u);
     EXPECT_EQ(Client::field_hex(*reply, "fp"), batch_fp);
   }
+}
+
+TEST(ServeDaemon, FedAndResumedDaemonsBuildNoSolarTrace) {
+  // Irradiance arrives over the socket, so neither a daemon that serves a
+  // feed nor one resumed from its checkpoint may build the campaign's
+  // synthetic trace: startup must not grow with --days.
+  const sim::DayRunConfig day = scenario();
+  const auto events = plan_events(day);
+  const std::string ckpt =
+      "/tmp/gs_test_no_trace_" + std::to_string(::getpid()) + ".ckpt";
+  const RemoveCheckpointOnExit cleanup{ckpt};
+  trace::clear_solar_cache();
+  {
+    DaemonConfig cfg;
+    cfg.day = day;
+    cfg.socket_path = test_socket_path("no_trace_a");
+    cfg.checkpoint_path = ckpt;
+    RunningDaemon d(std::move(cfg));
+    Client c(d.socket_path);
+    c.hello();
+    for (std::uint64_t s = 0; s < 300; ++s) c.send(format_feed(events[s]));
+    ASSERT_GE(wait_for_epoch(c, 300), 300u);
+    d.daemon.request_stop();
+    d.join();
+  }
+  EXPECT_EQ(trace::solar_cache_stats().misses, 0u);
+  {
+    DaemonConfig cfg;
+    cfg.day = day;
+    cfg.socket_path = test_socket_path("no_trace_b");
+    cfg.resume_from = ckpt;
+    const ServeDaemon resumed(std::move(cfg));
+  }
+  EXPECT_EQ(trace::solar_cache_stats().misses, 0u);
 }
 
 TEST(ServeDaemon, CheckpointCommandSnapshotsAConsistentFork) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/assert.hpp"
 #include "sim/day_runner.hpp"
+#include "trace/solar.hpp"
 
 namespace gs::sim {
 namespace {
@@ -72,6 +76,35 @@ TEST(DayRunner, BatteriesWearWithUse) {
   const auto r = run_days(base());
   EXPECT_GT(r.battery_cycles, 0.0);
   EXPECT_LT(r.battery_cycles, 10.0);  // a day of bursts, not a stress test
+}
+
+TEST(DayRunner, LiveFedSimBuildsNoSolarTrace) {
+  // The serve daemon feeds irradiance through step_live: a sim driven only
+  // that way never reads the synthetic trace, so it must not build one.
+  const DayRunConfig cfg = base();
+  const std::vector<LiveEpoch> plan = day_feed_plan(cfg);
+  trace::clear_solar_cache();
+  DaySim sim(cfg);
+  for (const LiveEpoch& e : plan) sim.step_live(e);
+  const DayRunResult live = sim.finish();
+  EXPECT_EQ(trace::solar_cache_stats().misses, 0u);
+  EXPECT_EQ(day_result_fingerprint(live),
+            day_result_fingerprint(run_days(cfg)));
+}
+
+TEST(DayRunner, FirstStepBuildsTheTraceOnce) {
+  const DayRunConfig cfg = base();
+  const std::uint64_t want = day_result_fingerprint(run_days(cfg));
+  trace::clear_solar_cache();
+  DaySim sim(cfg);
+  EXPECT_EQ(trace::solar_cache_stats().misses, 0u);
+  sim.step();
+  EXPECT_EQ(trace::solar_cache_stats().misses, 1u);
+  while (!sim.done()) sim.step();
+  // The sim keeps the trace it fetched: later epochs never look it up.
+  EXPECT_EQ(trace::solar_cache_stats().misses, 1u);
+  EXPECT_EQ(trace::solar_cache_stats().hits, 0u);
+  EXPECT_EQ(day_result_fingerprint(sim.finish()), want);
 }
 
 TEST(DayRunner, InvalidConfigThrows) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "common/assert.hpp"
+#include "common/keyed_cache.hpp"
 #include "trace/solar.hpp"
 
 namespace gs::trace {
@@ -70,6 +74,59 @@ TEST(SolarTrace, AtClampsOutOfRange) {
   const auto tr = week();
   EXPECT_DOUBLE_EQ(tr.at(Seconds(-10.0)), tr.samples().front());
   EXPECT_DOUBLE_EQ(tr.at(Seconds(1e9)), tr.samples().back());
+  // Indices outside size_t's range are compared as doubles, never
+  // converted (that conversion is undefined).
+  EXPECT_EQ(tr.at(Seconds(1e300)), tr.samples().back());
+  EXPECT_EQ(tr.at(Seconds(-1e300)), tr.samples().front());
+  EXPECT_EQ(tr.at(Seconds(std::numeric_limits<double>::infinity())),
+            tr.samples().back());
+}
+
+TEST(SolarTrace, MeanOfAWindowOutsideTheTraceIsItsEdgeSample) {
+  const auto tr = week();
+  // Wholly before the trace: the first sample (midnight, dark), not the
+  // whole-week mean a wrapped index would give.
+  EXPECT_EQ(tr.mean(Seconds(-120.0), Seconds(60.0)), tr.samples().front());
+  EXPECT_EQ(tr.mean(Seconds(-1e300), Seconds(60.0)), tr.samples().front());
+  // Wholly after it: the last sample.
+  EXPECT_EQ(tr.mean(Seconds(1e300), Seconds(60.0)), tr.samples().back());
+  // A window that covers the trace and runs past size_t's range: the
+  // mean of every sample.
+  double sum = 0.0;
+  for (double s : tr.samples()) sum += s;
+  const double all = sum / double(tr.samples().size());
+  EXPECT_EQ(tr.mean(Seconds(0.0), Seconds(1e300)), all);
+  EXPECT_EQ(tr.mean(Seconds(-60.0), tr.duration() + Seconds(60.0)), all);
+  // In range, a window straddling the start averages its samples from 0.
+  EXPECT_EQ(tr.mean(Seconds(-60.0), Seconds(180.0)),
+            (tr.samples()[0] + tr.samples()[1]) / 2.0);
+}
+
+/// Every sample's bit pattern, in order, and the count.
+std::uint64_t samples_digest(const SolarTrace& tr) {
+  std::uint64_t h = tr.samples().size();
+  for (double s : tr.samples()) h = hash_combine(h, s);
+  return h;
+}
+
+TEST(SolarTrace, GeneratorIsPinnedBitForBit) {
+  // The sweep and day digests read only window and daytime samples; these
+  // pin every sample of the generator, night and sample period included.
+  // Recorded from the generator that evaluated the clear-sky envelope
+  // once per sample rather than once per sample of the day.
+  SolarTraceConfig cfg;
+  EXPECT_EQ(samples_digest(generate_solar_trace(cfg)), 0xaec509f6bc6a9aa1ull)
+      << "week";
+  cfg.days = 1;
+  EXPECT_EQ(samples_digest(generate_solar_trace(cfg)), 0x67ace10755c48037ull)
+      << "1 day";
+  cfg.days = 30;
+  EXPECT_EQ(samples_digest(generate_solar_trace(cfg)), 0x72fe0ce6307f7610ull)
+      << "30 days";
+  cfg = {};
+  cfg.sample_period = Seconds(90.0);
+  EXPECT_EQ(samples_digest(generate_solar_trace(cfg)), 0x5ac2d10fd99aff7aull)
+      << "90 s";
 }
 
 class FindWindowTest : public ::testing::TestWithParam<
@@ -113,6 +170,8 @@ TEST(FindWindow, ImpossibleWindowReturnsNullopt) {
   // A window longer than the whole trace cannot exist.
   EXPECT_FALSE(
       find_window(tr, Seconds(8.0 * 86400.0), Availability::Max).has_value());
+  // Nor one whose sample count is past size_t's range.
+  EXPECT_FALSE(find_window(tr, Seconds(1e300), Availability::Min).has_value());
 }
 
 TEST(SolarTraceConfig, InvalidConfigThrows) {
